@@ -4,12 +4,14 @@
 //! `BENCH_delta_publish.json` at the workspace root (also in `--smoke` mode,
 //! with tiny sampling — CI asserts the file is emitted and well-formed):
 //!
-//! * **delta publish latency** — one `FeedbackLoop::publish_dirty` round on a
-//!   window where a bounded fraction (≤25%) of signatures is dirty: dirty-set
-//!   detection, dirty-only refits, per-signature guard, copy-on-write publish;
-//! * **full epoch latency** — `FeedbackLoop::retrain` on the *same* window and
-//!   incumbent (interim stores for the meta-model, combined FastTree retrain,
-//!   seeded final stores, guard, publish);
+//! * **delta publish latency** — one `ShardedFeedbackLoop::run_delta_round`
+//!   of a one-shard fleet, serving no jobs, on a window where a bounded
+//!   fraction (≤25%) of signatures is dirty: dirty-set detection, dirty-only
+//!   refits, per-signature guard, copy-on-write publish;
+//! * **full epoch latency** — `ShardedFeedbackLoop::run_epoch`, serving no
+//!   jobs, on the *same* window and incumbent (interim stores for the
+//!   meta-model, combined FastTree retrain, seeded final stores, guard,
+//!   publish);
 //! * **staleness window reduction** — how much sooner a workload shift is
 //!   served by fresh models when a delta ships it instead of waiting for the
 //!   full retrain (the latency ratio of the two publish paths);
@@ -17,21 +19,35 @@
 //!   delta-published snapshot vs its full-epoch incumbent (copy-on-write maps
 //!   and the shared, identity-salted prediction cache keep costing identical).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cleo_bench::{BenchGroup, BenchMeta};
 use cleo_common::obs::Obs;
-use cleo_core::feedback::{DeltaDecision, FeedbackConfig, FeedbackLoop, WindowEviction};
-use cleo_core::PublishDecision;
+use cleo_core::feedback::{DeltaDecision, DeltaOutcome, FeedbackConfig, WindowEviction};
+use cleo_core::sharding::{
+    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+};
+use cleo_core::{PublishDecision, RetrainOutcome};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::telemetry::TelemetryLog;
 use cleo_engine::workload::generator::{generate_cluster_workload, ClusterConfig};
 use cleo_engine::workload::JobSpec;
 use cleo_engine::{ClusterId, DayIndex};
-use cleo_optimizer::{HeuristicCostModel, OptimizerConfig};
+use cleo_optimizer::{CostModelProvider, HeuristicCostModel, OptimizerConfig, SharedOptimizer};
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// A full guarded retrain over the current window (an epoch serving no jobs).
+fn retrain(fl: &mut ShardedFeedbackLoop) -> RetrainOutcome {
+    fl.run_epoch(&[]).expect("full epoch").shards[0].retrain
+}
+
+/// A dirty-only delta round over the current window (serving no jobs).
+fn publish_dirty(fl: &mut ShardedFeedbackLoop) -> DeltaOutcome {
+    fl.run_delta_round(&[]).expect("delta round").shards[0].outcome
 }
 
 fn main() {
@@ -72,19 +88,31 @@ fn main() {
         )
     };
 
-    // Steady state: v1 trained on days 0–1.
-    let config = FeedbackConfig {
-        eviction: WindowEviction::JobCount(1_000_000),
-        ..FeedbackConfig::default()
-    };
-    let mut fl = FeedbackLoop::new(config, Simulator::new(SimulatorConfig::default()));
-    // Registry lifecycle (epoch/delta publishes and the bench's rollbacks)
-    // flows into one observability registry, snapshotted into the JSON below.
-    let obs = std::sync::Arc::new(Obs::new());
-    fl.attach_obs(std::sync::Arc::clone(&obs));
-    fl.observe(day(0));
-    fl.observe(day(1));
-    let first = fl.retrain().expect("train v1");
+    // Steady state: v1 trained on days 0–1 by a one-shard fleet (the
+    // single-cluster loop).  Registry lifecycle (epoch/delta publishes and the
+    // bench's rollbacks) flows into one observability registry, snapshotted
+    // into the JSON below.
+    let router = Arc::new(ClusterRouter::with_uniform_similarity(
+        Arc::new(ShardedRegistry::new([ClusterId(0)])),
+        Arc::new(HeuristicCostModel::default_model()),
+    ));
+    let registry = Arc::clone(router.registry().shard(ClusterId(0)).expect("shard"));
+    let obs = Arc::new(Obs::new());
+    registry.attach_obs(Arc::clone(&obs), 0);
+    let mut fl = ShardedFeedbackLoop::new(
+        ShardedFeedbackConfig {
+            shard: FeedbackConfig {
+                eviction: WindowEviction::JobCount(1_000_000),
+                ..FeedbackConfig::default()
+            },
+            ..ShardedFeedbackConfig::default()
+        },
+        Simulator::new(SimulatorConfig::default()),
+        Arc::clone(&router),
+    );
+    fl.observe(day(0)).expect("observe day 0");
+    fl.observe(day(1)).expect("observe day 1");
+    let first = retrain(&mut fl);
     assert!(
         matches!(first.decision, PublishDecision::Published { version: 1 }),
         "{first:?}"
@@ -96,12 +124,13 @@ fn main() {
     let dirty_jobs = ((day2.len() as f64 * dirty_job_fraction).round() as usize).max(2);
     fl.observe(TelemetryLog::from_jobs(
         day2.into_iter().take(dirty_jobs).collect(),
-    ));
-    let window_jobs = fl.window().len();
+    ))
+    .expect("observe day 2 slice");
+    let window_jobs = fl.window(ClusterId(0)).expect("shard window").len();
 
     // Probe the dirty set once (then roll back so every timed round starts
     // from the identical v1 incumbent and window).
-    let probe = fl.publish_dirty().expect("probe delta");
+    let probe = publish_dirty(&mut fl);
     let DeltaDecision::Published {
         changed_signatures, ..
     } = probe.decision
@@ -118,7 +147,7 @@ fn main() {
         smoke || dirty_fraction <= 0.25,
         "the scenario must stay within the ≤25% dirty budget, got {dirty_fraction:.3}"
     );
-    fl.registry().rollback();
+    registry.rollback();
 
     let mut group = BenchGroup::new("delta_publish");
     group.sample_size(if smoke { 2 } else { 15 });
@@ -127,18 +156,18 @@ fn main() {
     // publishing round so the incumbent is always v1; rollback is O(1)
     // pointer work, and a skipped/rejected round leaves the registry as-is).
     let delta_sample = group.bench_function("delta_publish", || {
-        let outcome = fl.publish_dirty().expect("delta round");
+        let outcome = publish_dirty(&mut fl);
         if matches!(outcome.decision, DeltaDecision::Published { .. }) {
-            fl.registry().rollback();
+            registry.rollback();
         }
         outcome
     });
 
     // (b) Full-epoch retrain + publish on the same window and incumbent.
     let full_sample = group.bench_function("full_epoch", || {
-        let outcome = fl.retrain().expect("full epoch");
+        let outcome = retrain(&mut fl);
         if matches!(outcome.decision, PublishDecision::Published { .. }) {
-            fl.registry().rollback();
+            registry.rollback();
         }
         outcome
     });
@@ -151,24 +180,18 @@ fn main() {
         .filter(|j| j.meta.day == DayIndex(2))
         .take(per_day_jobs)
         .collect();
-    let provider = fl.provider();
-    let serve = |fl_provider: &std::sync::Arc<cleo_core::RegistryCostModelProvider>| {
-        let shared = cleo_optimizer::SharedOptimizer::new(
-            std::sync::Arc::clone(fl_provider)
-                as std::sync::Arc<dyn cleo_optimizer::CostModelProvider>,
-            OptimizerConfig::resource_aware(),
-        );
-        move |jobs: &[&JobSpec]| shared.optimize_all(jobs, 1).expect("serve")
-    };
-    let serve_v1 = serve(&provider);
-    let full_serve_sample = group.bench_function("serve_full_snapshot", || serve_v1(&serve_jobs));
-    let delta_outcome = fl.publish_dirty().expect("publish delta for serving");
+    let shared = SharedOptimizer::new(
+        Arc::clone(&router) as Arc<dyn CostModelProvider>,
+        OptimizerConfig::resource_aware(),
+    );
+    let serve = || shared.optimize_all(&serve_jobs, 1).expect("serve");
+    let full_serve_sample = group.bench_function("serve_full_snapshot", serve);
+    let delta_outcome = publish_dirty(&mut fl);
     assert!(matches!(
         delta_outcome.decision,
         DeltaDecision::Published { .. }
     ));
-    let serve_v2 = serve(&provider);
-    let delta_serve_sample = group.bench_function("serve_delta_snapshot", || serve_v2(&serve_jobs));
+    let delta_serve_sample = group.bench_function("serve_delta_snapshot", serve);
     group.finish();
 
     let delta_ms = ms(delta_sample.median);

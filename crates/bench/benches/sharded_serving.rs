@@ -19,9 +19,8 @@
 //!   threads against one shared [`LearnedCostModel`]; near-linear scaling is
 //!   asserted on machines with >= 4 cores and skipped (with a logged reason)
 //!   elsewhere;
-//! * **sharded vs single shared registry** — the same 4-cluster stream through
-//!   one process-wide registry (the PR 2 shape), to price the router's routing
-//!   overhead;
+//! * **sharded serial serving** — the whole 4-cluster stream through the
+//!   router on one thread;
 //! * **fallback-hit rates** — the routing mix on a half-cold fleet;
 //! * **per-shard epoch latency** — parallel per-cluster retrain epochs of the
 //!   [`ShardedFeedbackLoop`].
@@ -36,7 +35,7 @@ use cleo_core::feedback::{FeedbackConfig, WindowEviction};
 use cleo_core::sharding::{
     ClusterRouter, ServingPool, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
 };
-use cleo_core::{HoldoutMetrics, LearnedCostModel, ModelRegistry, RegistryCostModelProvider};
+use cleo_core::{HoldoutMetrics, LearnedCostModel};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::physical::{PhysicalNode, PhysicalOpKind};
 use cleo_engine::types::OpStats;
@@ -191,20 +190,8 @@ fn main() {
         .collect();
     drop(pool4);
 
-    // (c) The unsharded baseline: all four clusters through one process-wide
-    // registry (PR 2 shape, one model for every cluster).
-    let single_registry = Arc::new(ModelRegistry::new());
-    single_registry.publish(Arc::clone(&ctx.clusters[0].predictor), 1, metrics());
-    let single = SharedOptimizer::new(
-        Arc::new(RegistryCostModelProvider::new(single_registry, fallback))
-            as Arc<dyn CostModelProvider>,
-        OptimizerConfig::resource_aware(),
-    );
+    // (c) The whole 4-cluster stream through the router on one thread.
     let all_jobs: Vec<&JobSpec> = cluster_jobs.iter().flatten().copied().collect();
-    let single_sample = group.bench_function("serve_4_clusters_single_registry", || {
-        single.optimize_all(&all_jobs, 1).expect("serve")
-    });
-    let single_registry_rate = rate(all_jobs.len(), single_sample.median);
     let sharded_all_sample = group.bench_function("serve_4_clusters_sharded_serial", || {
         shared.optimize_all(&all_jobs, 1).expect("serve")
     });
@@ -344,9 +331,8 @@ fn main() {
          {per_shard_rate:?}, concurrent: {per_shard_concurrent:?} (summed isolated upper \
          bound 1->4 shards: {summed_capacity:?}, {summed_scaling_1_to_4:.2}x)\ncached-lookup \
          throughput: {cached_rate_1:.0} -> {cached_rate_4:.0} lookups/sec 1->4 threads \
-         ({cache_scaling_1_to_4:.2}x, asserted={cache_scaling_asserted})\nsingle shared \
-         registry: {single_registry_rate:.1} jobs/sec vs sharded serial: \
-         {sharded_all_rate:.1}\nhalf-cold routing: {} own / {} donor / {} fallback\nper-shard \
+         ({cache_scaling_1_to_4:.2}x, asserted={cache_scaling_asserted})\nsharded serial: \
+         {sharded_all_rate:.1} jobs/sec\nhalf-cold routing: {} own / {} donor / {} fallback\nper-shard \
          epoch latency (ms): {shard_epoch_ms:?}",
         routing.own_hits, routing.donor_hits, routing.fallback_hits
     );
@@ -378,7 +364,6 @@ fn main() {
          \"cached_lookups_per_sec_4_threads\": {cached_rate_4:.0}, \
          \"scaling_1_to_4\": {cache_scaling_1_to_4:.3}, \
          \"asserted\": {cache_scaling_asserted}}},\n  \
-         \"jobs_per_sec_single_registry\": {single_registry_rate:.1},\n  \
          \"jobs_per_sec_sharded_serial\": {sharded_all_rate:.1},\n  \
          \"half_cold_routing\": {{\"own_hits\": {}, \"donor_hits\": {}, \"fallback_hits\": {}, \
          \"own_rate\": {:.4}, \"donor_rate\": {:.4}, \"fallback_rate\": {:.4}}},\n  \

@@ -8,16 +8,16 @@
 //! Since the registry-aware port, all telemetry is collected through the
 //! **shared-serving path** ([`pipeline::serve_jobs`]): baseline runs serve the
 //! default model through a [`FixedCostModel`] provider, and each cluster's
-//! trained predictor is published into a per-cluster [`ModelRegistry`] whose
-//! [`RegistryCostModelProvider`] the learned-model experiments serve from — the
-//! same seam (and the same prediction cache) the feedback loop exercises.
+//! trained predictor is published into the one shard of a per-cluster
+//! [`ShardedRegistry`] whose [`ClusterRouter`] the learned-model experiments
+//! serve from — the same seam (and the same prediction cache) the feedback
+//! loop exercises.
 
 use std::sync::Arc;
 
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::trainer::TrainerConfig;
-use cleo_core::{
-    pipeline, CleoPredictor, HoldoutMetrics, ModelRegistry, RegistryCostModelProvider,
-};
+use cleo_core::{pipeline, CleoPredictor, HoldoutMetrics, ModelRegistry};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::telemetry::TelemetryLog;
 use cleo_engine::workload::generator::{
@@ -104,8 +104,9 @@ pub struct ClusterData {
     /// Registry holding the trained predictor as version 1 (shared by every
     /// learned-model run of this cluster, so their prediction caches are too).
     pub registry: Arc<ModelRegistry>,
-    /// Provider serving [`ClusterData::registry`] through the optimizer seam.
-    pub provider: Arc<RegistryCostModelProvider>,
+    /// One-shard router serving [`ClusterData::registry`] through the
+    /// optimizer seam.
+    pub provider: Arc<ClusterRouter>,
 }
 
 /// The shared context for all experiments.
@@ -150,7 +151,8 @@ impl ExperimentContext {
                 &train_log,
                 TrainerConfig::default(),
             )?);
-            let registry = Arc::new(ModelRegistry::new());
+            let sharded = Arc::new(ShardedRegistry::new([ClusterId(c)]));
+            let registry = Arc::clone(sharded.shard(ClusterId(c)).expect("the cluster's shard"));
             let eval = pipeline::evaluate_predictor(&predictor, &train_log)
                 .into_iter()
                 .find(|e| e.name == "Combined")
@@ -164,8 +166,8 @@ impl ExperimentContext {
                     sample_count: eval.pairs.len(),
                 },
             );
-            let provider = Arc::new(RegistryCostModelProvider::new(
-                Arc::clone(&registry),
+            let provider = Arc::new(ClusterRouter::with_uniform_similarity(
+                sharded,
                 Arc::new(HeuristicCostModel::default_model()) as Arc<dyn CostModel>,
             ));
             clusters.push(ClusterData {
@@ -209,7 +211,7 @@ mod tests {
             assert!(!c.test_log.is_empty());
             assert!(c.predictor.model_count() > 0);
             assert_eq!(c.registry.current_version(), 1);
-            assert_eq!(c.provider.current_version(), 1);
+            assert_eq!(c.provider.snapshot_for(&c.workload.jobs[0].meta).version, 1);
         }
     }
 }

@@ -1,14 +1,21 @@
 //! The continuous feedback-loop experiment: the deployment story of Section 5.1
 //! run end to end — epochs of serve → window → retrain → guarded publish — with
 //! the per-epoch latency trajectory against the default-cost-model baseline.
+//! The single-cluster loop is a fleet with one shard.
+
+use std::sync::Arc;
 
 use cleo_common::table::{fnum, TextTable};
 use cleo_common::Result;
 
-use cleo_core::feedback::{FeedbackConfig, FeedbackLoop, PublishDecision, WindowEviction};
+use cleo_core::feedback::{FeedbackConfig, PublishDecision, WindowEviction};
+use cleo_core::sharding::{
+    ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
+};
 use cleo_core::CacheStats;
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::workload::JobSpec;
+use cleo_optimizer::HeuristicCostModel;
 
 use crate::context::ExperimentContext;
 
@@ -21,11 +28,23 @@ pub fn feedback_loop(ctx: &ExperimentContext) -> Result<String> {
     let cluster = ctx.cluster(0);
     let jobs: Vec<&JobSpec> = cluster.workload.jobs.iter().collect();
 
-    let config = FeedbackConfig {
-        eviction: WindowEviction::JobCount(jobs.len().max(64) * 2),
-        ..FeedbackConfig::default()
-    };
-    let mut fl = FeedbackLoop::new(config, Simulator::new(SimulatorConfig::default()));
+    let id = cluster.workload.cluster;
+    let router = Arc::new(ClusterRouter::with_uniform_similarity(
+        Arc::new(ShardedRegistry::new([id])),
+        Arc::new(HeuristicCostModel::default_model()),
+    ));
+    let registry = Arc::clone(router.registry().shard(id).expect("the cluster's shard"));
+    let mut fl = ShardedFeedbackLoop::new(
+        ShardedFeedbackConfig {
+            shard: FeedbackConfig {
+                eviction: WindowEviction::JobCount(jobs.len().max(64) * 2),
+                ..FeedbackConfig::default()
+            },
+            ..ShardedFeedbackConfig::default()
+        },
+        Simulator::new(SimulatorConfig::default()),
+        router,
+    );
 
     let mut table = TextTable::new(
         "Feedback loop: versioned serving over a recurring workload",
@@ -44,7 +63,9 @@ pub fn feedback_loop(ctx: &ExperimentContext) -> Result<String> {
     let mut baseline_latency = 0.0f64;
     let mut best_improvement = f64::MIN;
     for _ in 0..EPOCHS {
+        let served_version = registry.current_version();
         let report = fl.run_epoch(&jobs)?;
+        let shard = &report.shards[0];
         if report.epoch == 1 {
             baseline_latency = report.total_latency;
         }
@@ -53,20 +74,20 @@ pub fn feedback_loop(ctx: &ExperimentContext) -> Result<String> {
         } else {
             0.0
         };
-        if report.served_version > 0 {
+        if served_version > 0 {
             best_improvement = best_improvement.max(improvement_pct);
         }
-        let decision = match report.retrain.decision {
+        let decision = match shard.retrain.decision {
             PublishDecision::Published { version } => format!("published v{version}"),
             PublishDecision::RejectedRegression => "rejected (regression)".into(),
             PublishDecision::SkippedTooFewJobs => "skipped (window too small)".into(),
         };
-        let holdout = report.retrain.candidate;
+        let holdout = shard.retrain.candidate;
         table.add_row(&[
             report.epoch.to_string(),
-            report.served_version.to_string(),
+            served_version.to_string(),
             decision,
-            report.window_jobs.to_string(),
+            shard.window_jobs.to_string(),
             holdout.map_or("-".into(), |h| fnum(h.correlation, 3)),
             holdout.map_or("-".into(), |h| fnum(h.median_error_pct, 1)),
             fnum(report.total_latency, 1),
@@ -77,8 +98,8 @@ pub fn feedback_loop(ctx: &ExperimentContext) -> Result<String> {
     let mut out = table.render();
     out.push_str(&format!(
         "\nVersions published: {} (registry serves v{}).\n",
-        fl.registry().version_count(),
-        fl.registry().current_version()
+        registry.version_count(),
+        registry.current_version()
     ));
     out.push_str(&format!(
         "Best learned-epoch latency improvement vs the default-model epoch: {}%.\n",
@@ -88,7 +109,7 @@ pub fn feedback_loop(ctx: &ExperimentContext) -> Result<String> {
     // epoch is not necessarily the current one (a newer version published after
     // serving finished has an empty, never-exercised cache).
     let mut total = CacheStats::default();
-    for snapshot in fl.registry().versions() {
+    for snapshot in registry.versions() {
         let stats = snapshot.cost_model().cache_stats();
         total.hits += stats.hits;
         total.misses += stats.misses;

@@ -3,7 +3,7 @@
 //!
 //! The end-to-end runs go through the shared-serving path
 //! ([`pipeline::serve_jobs`]): baselines behind a [`FixedCostModel`] provider,
-//! learned models behind a [`RegistryCostModelProvider`] — exercising the
+//! learned models behind a one-shard [`ClusterRouter`] — exercising the
 //! registry's publish/load seam and the served model's prediction cache exactly
 //! as the deployment loop does.
 
@@ -14,10 +14,9 @@ use cleo_common::stats;
 use cleo_common::table::{fnum, TextTable};
 use cleo_common::Result;
 
+use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::trainer::TrainerConfig;
-use cleo_core::{
-    pipeline, HoldoutMetrics, LearnedCostModel, ModelRegistry, RegistryCostModelProvider,
-};
+use cleo_core::{pipeline, HoldoutMetrics, LearnedCostModel};
 use cleo_engine::workload::tpch::{all_queries, tpch_job, TpchParams};
 use cleo_engine::workload::JobSpec;
 use cleo_engine::{ClusterId, DayIndex};
@@ -27,15 +26,20 @@ use cleo_optimizer::{
 
 use crate::context::ExperimentContext;
 
-/// Publish a freshly trained predictor as version 1 of a new registry and hand
-/// back its serving provider (fallback: the default hand-written model).
+/// Publish a freshly trained predictor as version 1 of `cluster`'s shard in a
+/// new one-shard registry and hand back its router (fallback: the default
+/// hand-written model).
 fn registry_provider(
+    cluster: ClusterId,
     predictor: cleo_core::CleoPredictor,
     holdout: HoldoutMetrics,
-) -> Arc<RegistryCostModelProvider> {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.publish(predictor, 0, holdout);
-    Arc::new(RegistryCostModelProvider::new(
+) -> Arc<ClusterRouter> {
+    let registry = Arc::new(ShardedRegistry::new([cluster]));
+    registry
+        .shard(cluster)
+        .expect("the cluster's shard")
+        .publish(predictor, 0, holdout);
+    Arc::new(ClusterRouter::with_uniform_similarity(
         registry,
         Arc::new(HeuristicCostModel::default_model()) as Arc<dyn CostModel>,
     ))
@@ -168,7 +172,9 @@ pub fn fig20(ctx: &ExperimentContext) -> Result<String> {
         .into_iter()
         .find(|e| e.name == "Combined")
         .expect("combined evaluation");
+    // Every TPC-H job (training and evaluation) runs on cluster 0.
     let provider = registry_provider(
+        ClusterId(0),
         predictor,
         HoldoutMetrics {
             correlation: train_eval.correlation,

@@ -1,39 +1,34 @@
-//! The epoch-driven feedback loop: Cleo's continuous deployment story.
+//! The guarded-retrain cores of Cleo's continuous deployment story.
 //!
 //! Section 5.1 describes a *continuous* cycle — instrument runs, train on a sliding
 //! telemetry window, feed the models back to the optimizer — where the one-shot
-//! helpers of [`crate::pipeline`] only cover a single turn.  [`FeedbackLoop`] is the
-//! subsystem version of that cycle:
+//! helpers of [`crate::pipeline`] only cover a single turn.  The cycle is driven by
+//! [`crate::sharding::ShardedFeedbackLoop`]; the paper's single-cluster loop is that
+//! fleet with one shard.  This module holds what every shard round shares:
 //!
-//! 1. **Serve** — each epoch's jobs are optimized concurrently through the
-//!    [`SharedOptimizer`] against whichever registry version is current (the
-//!    hand-written fallback until the first publish), simulated, and their telemetry
-//!    stamped with the epoch and serving model version.
-//! 2. **Window** — telemetry accumulates in a bounded sliding window
+//! 1. **Window** — telemetry accumulates in a bounded sliding window
 //!    ([`WindowEviction`]: job-count FIFO or trailing-days retention), so training
 //!    cost and drift sensitivity stay constant as the deployment ages.
-//! 3. **Retrain** — every epoch retrains the per-signature models over the window
+//! 2. **Retrain** — a full epoch retrains the per-signature models over the window
 //!    with the parallel [`CleoTrainer`], under an epoch-derived seed that keeps the
 //!    loop bit-deterministic across thread counts.
-//! 4. **Guarded publish** — the candidate is evaluated against the *incumbent* on a
+//! 3. **Guarded publish** — the candidate is evaluated against the *incumbent* on a
 //!    deterministic holdout slice of the window; it is published to the
 //!    [`ModelRegistry`] only when it does not regress, otherwise the previous
 //!    version keeps serving (and the rejection is reported).
+//! 4. **Delta rounds** — between epochs, only the dirty signatures are refit and
+//!    published as a copy-on-write delta over the incumbent.
 
 use std::sync::Arc;
 
 use cleo_common::Result;
-use cleo_engine::exec::Simulator;
 use cleo_engine::telemetry::{JobTelemetry, TelemetryLog};
-use cleo_engine::workload::JobSpec;
-use cleo_optimizer::{
-    CostModel, CostModelProvider, HeuristicCostModel, OptimizerConfig, SharedOptimizer,
-};
+use cleo_optimizer::{CostModel, OptimizerConfig};
 
 use crate::integration::LearnedCostModel;
 use crate::models::WarmStartStats;
 use crate::pipeline::evaluate_cost_model_jobs;
-use crate::registry::{HoldoutMetrics, ModelRegistry, RegistryCostModelProvider};
+use crate::registry::{HoldoutMetrics, ModelRegistry};
 use crate::trainer::{CleoTrainer, TrainerConfig};
 
 /// How the sliding telemetry window evicts old records.
@@ -98,6 +93,14 @@ impl Default for FeedbackConfig {
     }
 }
 
+impl FeedbackConfig {
+    /// The holdout stride the publish guard uses: every `stride`-th window job
+    /// (by stable window order) is held out from training and scored instead.
+    pub fn holdout_stride(&self) -> usize {
+        (1.0 / self.holdout_fraction.clamp(0.05, 0.5)).round() as usize
+    }
+}
+
 /// What a sub-epoch delta round decided.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeltaDecision {
@@ -156,23 +159,6 @@ impl DeltaOutcome {
     }
 }
 
-/// Report of one sub-epoch delta round driven by [`FeedbackLoop::run_delta_round`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaRoundReport {
-    /// Registry version that served this round's jobs (0 = fallback model).
-    pub served_version: u64,
-    /// Jobs optimized and executed this round.
-    pub jobs_run: usize,
-    /// Cumulative end-to-end latency of the round's jobs (seconds).
-    pub total_latency: f64,
-    /// Window size after ingesting this round (jobs).
-    pub window_jobs: usize,
-    /// Jobs evicted from the window this round.
-    pub evicted_jobs: usize,
-    /// The delta round's outcome.
-    pub outcome: DeltaOutcome,
-}
-
 /// What happened to the candidate model of one epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PublishDecision {
@@ -202,243 +188,28 @@ pub struct RetrainOutcome {
     pub warm: WarmStartStats,
 }
 
-/// Report of one full feedback epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochReport {
-    /// Epoch number (1-based).
-    pub epoch: u32,
-    /// Registry version that served this epoch's jobs (0 = fallback model).
-    pub served_version: u64,
-    /// Jobs optimized and executed this epoch.
-    pub jobs_run: usize,
-    /// Cumulative end-to-end latency of the epoch's jobs (seconds).
-    pub total_latency: f64,
-    /// Total processing time of the epoch's jobs (container-seconds).
-    pub total_cpu_seconds: f64,
-    /// Window size after ingesting this epoch (jobs).
-    pub window_jobs: usize,
-    /// Jobs evicted from the window this epoch.
-    pub evicted_jobs: usize,
-    /// Retraining outcome.
-    pub retrain: RetrainOutcome,
-}
-
-impl EpochReport {
-    /// Mean end-to-end job latency of the epoch (seconds).
-    pub fn mean_latency(&self) -> f64 {
-        if self.jobs_run == 0 {
-            0.0
-        } else {
-            self.total_latency / self.jobs_run as f64
-        }
-    }
-}
-
-/// The continuous feedback loop (serve → window → retrain → guarded publish).
-pub struct FeedbackLoop {
-    config: FeedbackConfig,
-    registry: Arc<ModelRegistry>,
-    provider: Arc<RegistryCostModelProvider>,
-    simulator: Simulator,
-    window: TelemetryLog,
-    epoch: u32,
-}
-
-impl FeedbackLoop {
-    /// Create a loop serving the default hand-written cost model until the first
-    /// version is published.
-    pub fn new(config: FeedbackConfig, simulator: Simulator) -> Self {
-        Self::with_fallback(
-            config,
-            simulator,
-            Arc::new(HeuristicCostModel::default_model()),
-        )
-    }
-
-    /// Create a loop with an explicit fallback (version 0) cost model.
-    pub fn with_fallback(
-        config: FeedbackConfig,
-        simulator: Simulator,
-        fallback: Arc<dyn CostModel>,
-    ) -> Self {
-        let registry = Arc::new(ModelRegistry::new());
-        let provider = Arc::new(RegistryCostModelProvider::new(
-            Arc::clone(&registry),
-            fallback,
-        ));
-        FeedbackLoop {
-            config,
-            registry,
-            provider,
-            simulator,
-            window: TelemetryLog::new(),
-            epoch: 0,
-        }
-    }
-
-    /// The model registry the loop publishes into.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
-    }
-
-    /// Attach an observability handle to the loop's registry: publish,
-    /// rollback, and watchdog trace events for this single-cluster loop are
-    /// labelled with [`cleo_common::obs::NO_CLUSTER`] (there is no shard).
-    pub fn attach_obs(&self, obs: Arc<cleo_common::obs::Obs>) {
-        self.registry.attach_obs(obs, cleo_common::obs::NO_CLUSTER);
-    }
-
-    /// The provider concurrent optimizers serve from (shared with the loop, so a
-    /// publish by [`FeedbackLoop::run_epoch`] is immediately visible to external
-    /// serving paths holding this handle).
-    pub fn provider(&self) -> Arc<RegistryCostModelProvider> {
-        Arc::clone(&self.provider)
-    }
-
-    /// The current sliding telemetry window.
-    pub fn window(&self) -> &TelemetryLog {
-        &self.window
-    }
-
-    /// Drop the entire sliding window (e.g. after a detected telemetry
-    /// corruption, so the next epochs rebuild it from fresh runs).
-    pub fn clear_window(&mut self) {
-        self.window = TelemetryLog::new();
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FeedbackConfig {
-        &self.config
-    }
-
-    /// The holdout stride the publish guard uses: every `stride`-th window job
-    /// (by stable window order) is held out from training and scored instead.
-    pub fn holdout_stride(&self) -> usize {
-        holdout_stride(&self.config)
-    }
-
-    /// Epochs completed so far.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Ingest externally executed telemetry into the sliding window (applies the
-    /// eviction policy).  Returns the number of evicted jobs.
-    pub fn observe(&mut self, log: TelemetryLog) -> usize {
-        self.window.extend(log);
-        self.evict()
-    }
-
-    fn evict(&mut self) -> usize {
-        match self.config.eviction {
-            WindowEviction::JobCount(max_jobs) => self.window.drain_window(max_jobs).len(),
-            WindowEviction::RecentDays(days) => self.window.retain_recent_days(days).len(),
-        }
-    }
-
-    /// Run one full epoch over `jobs`: serve, ingest, retrain, guarded publish.
-    pub fn run_epoch(&mut self, jobs: &[&JobSpec]) -> Result<EpochReport> {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let served_version = self.registry.current_version();
-
-        // Serve: optimize concurrently against the current version, simulate in
-        // job order, stamp provenance (see `pipeline::run_jobs_shared`).
-        let shared = SharedOptimizer::new(
-            Arc::clone(&self.provider) as Arc<dyn CostModelProvider>,
-            self.config.optimizer,
-        );
-        let served = crate::pipeline::run_jobs_shared(
-            jobs,
-            &shared,
-            &self.simulator,
-            epoch,
-            self.config.serving_threads,
-        )?;
-        let jobs_run = served.len();
-        let total_latency = served.total_latency();
-        let total_cpu_seconds = served.total_cpu_seconds();
-        let evicted_jobs = self.observe(served);
-
-        let retrain = self.retrain()?;
-        Ok(EpochReport {
-            epoch,
-            served_version,
-            jobs_run,
-            total_latency,
-            total_cpu_seconds,
-            window_jobs: self.window.len(),
-            evicted_jobs,
-            retrain,
-        })
-    }
-
-    /// Retrain over the current window and publish the candidate if it does not
-    /// regress vs. the incumbent on the holdout slice.  Called by
-    /// [`FeedbackLoop::run_epoch`]; exposed for loops that ingest telemetry via
-    /// [`FeedbackLoop::observe`] (e.g. replaying pre-executed logs).
-    pub fn retrain(&mut self) -> Result<RetrainOutcome> {
-        retrain_window(
-            &self.window,
-            &self.config,
-            self.epoch,
-            &self.registry,
-            self.provider.fallback(),
-        )
-    }
-
-    /// Run one **sub-epoch delta round** over `jobs`: serve and ingest exactly
-    /// like an epoch, but instead of a full retrain, refit only the signatures
-    /// whose window sample multiset moved since the incumbent version and
-    /// publish them as a copy-on-write [`crate::registry::ModelDelta`] — the
-    /// staleness window of a hot signature shrinks from the epoch cadence to
-    /// the delta cadence, without paying for a full retrain or perturbing what
-    /// the next full epoch will compute (delta-equivalence).  Does not advance
-    /// the epoch counter.
-    pub fn run_delta_round(&mut self, jobs: &[&JobSpec]) -> Result<DeltaRoundReport> {
-        let served_version = self.registry.current_version();
-        let shared = SharedOptimizer::new(
-            Arc::clone(&self.provider) as Arc<dyn CostModelProvider>,
-            self.config.optimizer,
-        );
-        let served = crate::pipeline::run_jobs_shared(
-            jobs,
-            &shared,
-            &self.simulator,
-            self.epoch,
-            self.config.serving_threads,
-        )?;
-        let jobs_run = served.len();
-        let total_latency = served.total_latency();
-        let evicted_jobs = self.observe(served);
-        let outcome = self.publish_dirty()?;
-        Ok(DeltaRoundReport {
-            served_version,
-            jobs_run,
-            total_latency,
-            window_jobs: self.window.len(),
-            evicted_jobs,
-            outcome,
-        })
-    }
-
-    /// Retrain **only the dirty signatures** of the current window and publish
-    /// them as a sub-epoch delta (the guarded-retrain core of
-    /// [`FeedbackLoop::run_delta_round`]; exposed for loops that ingest
-    /// telemetry via [`FeedbackLoop::observe`]).
-    pub fn publish_dirty(&mut self) -> Result<DeltaOutcome> {
-        delta_round_window(&self.window, &self.config, self.epoch, &self.registry)
-    }
-}
-
-/// The holdout stride implied by a config's holdout fraction.
-pub(crate) fn holdout_stride(config: &FeedbackConfig) -> usize {
-    (1.0 / config.holdout_fraction.clamp(0.05, 0.5)).round() as usize
+/// Deterministic holdout: every k-th window job (by stable window order) is
+/// held out, the rest train.  The split depends only on the window contents —
+/// never on thread count — and borrows: nothing in the window is cloned.
+/// `None` when either side would be empty.
+fn split_holdout<'a>(
+    window: &'a TelemetryLog,
+    config: &FeedbackConfig,
+) -> Option<(Vec<&'a JobTelemetry>, Vec<&'a JobTelemetry>)> {
+    let stride = config.holdout_stride();
+    let (holdout, train): (Vec<_>, Vec<_>) = window
+        .jobs()
+        .iter()
+        .enumerate()
+        .partition(|(i, _)| i % stride == 0);
+    let holdout: Vec<&JobTelemetry> = holdout.into_iter().map(|(_, j)| j).collect();
+    let train: Vec<&JobTelemetry> = train.into_iter().map(|(_, j)| j).collect();
+    (!holdout.is_empty() && !train.is_empty()).then_some((holdout, train))
 }
 
 /// One guarded retrain round over a telemetry window, publishing into
-/// `registry` on success: the epoch core shared by [`FeedbackLoop`] and the
-/// per-cluster shard epochs of [`crate::sharding::ShardedFeedbackLoop`].  The
+/// `registry` on success: the epoch core of every shard round of
+/// [`crate::sharding::ShardedFeedbackLoop::run_epoch`].  The
 /// incumbent is the registry's current version (or `fallback` while the
 /// registry is cold); with [`FeedbackConfig::warm_start`] the shipped stores
 /// reuse or warm-start from the incumbent's per-signature models.
@@ -459,20 +230,9 @@ pub(crate) fn retrain_window(
         return Ok(skipped);
     }
 
-    // Deterministic holdout: every k-th window job (by stable window order).
-    // The split depends only on the window contents — never on thread count.
-    // Borrowed splits: nothing in the window is cloned on this path.
-    let stride = holdout_stride(config);
-    let (holdout, train): (Vec<_>, Vec<_>) = window
-        .jobs()
-        .iter()
-        .enumerate()
-        .partition(|(i, _)| i % stride == 0);
-    let holdout: Vec<&JobTelemetry> = holdout.into_iter().map(|(_, j)| j).collect();
-    let train: Vec<&JobTelemetry> = train.into_iter().map(|(_, j)| j).collect();
-    if holdout.is_empty() || train.is_empty() {
+    let Some((holdout, train)) = split_holdout(window, config) else {
         return Ok(skipped);
-    }
+    };
 
     // The incumbent (serving chain) is the guard's baseline and the reuse
     // source; the warm-start *seed* comes from the last full-epoch basis, so a
@@ -533,8 +293,7 @@ pub(crate) fn retrain_window(
 }
 
 /// One sub-epoch delta round over a telemetry window, publishing a
-/// copy-on-write delta into `registry`: the core shared by
-/// [`FeedbackLoop::publish_dirty`] and the per-shard delta rounds of
+/// copy-on-write delta into `registry`: the core of every shard round of
 /// [`crate::sharding::ShardedFeedbackLoop::run_delta_round`].
 ///
 /// The round refits only signatures whose window sample multiset moved since
@@ -564,17 +323,9 @@ pub(crate) fn delta_round_window(
 
     // The same deterministic holdout split as the full epoch, so the guard
     // judges candidates on jobs their fits never saw.
-    let stride = holdout_stride(config);
-    let (holdout, train): (Vec<_>, Vec<_>) = window
-        .jobs()
-        .iter()
-        .enumerate()
-        .partition(|(i, _)| i % stride == 0);
-    let holdout: Vec<&JobTelemetry> = holdout.into_iter().map(|(_, j)| j).collect();
-    let train: Vec<&JobTelemetry> = train.into_iter().map(|(_, j)| j).collect();
-    if holdout.is_empty() || train.is_empty() {
+    let Some((holdout, train)) = split_holdout(window, config) else {
         return Ok(DeltaOutcome::skipped(DeltaDecision::SkippedTooFewJobs));
-    }
+    };
 
     let basis = registry
         .current_full_basis()
@@ -773,19 +524,45 @@ fn holdout_metrics(model: &dyn CostModel, holdout: &[&JobTelemetry]) -> HoldoutM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cleo_engine::exec::SimulatorConfig;
+    use crate::sharding::{
+        ClusterRouter, ShardedEpochReport, ShardedFeedbackConfig, ShardedFeedbackLoop,
+        ShardedRegistry,
+    };
+    use cleo_engine::exec::{Simulator, SimulatorConfig};
     use cleo_engine::workload::generator::{generate_cluster_workload, ClusterConfig};
+    use cleo_engine::workload::JobSpec;
     use cleo_engine::ClusterId;
+    use cleo_optimizer::HeuristicCostModel;
 
-    fn loop_with_small_window() -> (FeedbackLoop, Vec<JobSpec>) {
+    /// The single-cluster loop of Section 5.1: a fleet with one shard.
+    fn one_shard_loop(config: FeedbackConfig) -> ShardedFeedbackLoop {
+        let registry = Arc::new(ShardedRegistry::new([ClusterId(0)]));
+        let router = Arc::new(ClusterRouter::with_uniform_similarity(
+            registry,
+            Arc::new(HeuristicCostModel::default_model()),
+        ));
+        ShardedFeedbackLoop::new(
+            ShardedFeedbackConfig {
+                shard: config,
+                ..ShardedFeedbackConfig::default()
+            },
+            Simulator::new(SimulatorConfig::default()),
+            router,
+        )
+    }
+
+    fn loop_with_small_window() -> (ShardedFeedbackLoop, Vec<JobSpec>) {
         let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 2);
         let config = FeedbackConfig {
             eviction: WindowEviction::JobCount(64),
             serving_threads: 2,
             ..FeedbackConfig::default()
         };
-        let fl = FeedbackLoop::new(config, Simulator::new(SimulatorConfig::default()));
-        (fl, workload.jobs)
+        (one_shard_loop(config), workload.jobs)
+    }
+
+    fn retrain(report: &ShardedEpochReport) -> RetrainOutcome {
+        report.shards[0].retrain
     }
 
     #[test]
@@ -795,24 +572,30 @@ mod tests {
 
         let first = fl.run_epoch(&refs).unwrap();
         assert_eq!(first.epoch, 1);
-        assert_eq!(first.served_version, 0, "epoch 1 serves the fallback");
+        assert_eq!(
+            first.routing.fallback_hits, 40,
+            "epoch 1 serves the fallback"
+        );
         assert_eq!(first.jobs_run, 40);
         assert!(matches!(
-            first.retrain.decision,
+            retrain(&first).decision,
             PublishDecision::Published { version: 1 }
         ));
 
         let second = fl.run_epoch(&refs).unwrap();
-        assert_eq!(second.served_version, 1, "epoch 2 serves the learned model");
+        assert_eq!(
+            second.routing.own_hits, 40,
+            "epoch 2 serves the learned model"
+        );
         // Window respects the job-count bound and carries provenance stamps.
-        assert!(second.window_jobs <= 64);
-        assert!(fl
-            .window()
+        let window = fl.window(ClusterId(0)).unwrap();
+        assert!(second.shards[0].window_jobs <= 64);
+        assert!(window
             .jobs()
             .iter()
             .any(|j| j.provenance.model_version == 1 && j.provenance.epoch == 2));
         assert!(fl.epoch() == 2);
-        assert!(fl.registry().version_count() >= 1);
+        assert!(fl.registry().total_version_count() >= 1);
     }
 
     #[test]
@@ -820,35 +603,34 @@ mod tests {
         let (mut fl, jobs) = loop_with_small_window();
         let refs: Vec<&JobSpec> = jobs.iter().take(40).collect();
 
-        let first = fl.run_epoch(&refs).unwrap();
+        let first = retrain(&fl.run_epoch(&refs).unwrap());
         assert_eq!(
-            first.retrain.warm.reused + first.retrain.warm.warm_fits,
+            first.warm.reused + first.warm.warm_fits,
             0,
             "no incumbent exists at epoch 1"
         );
-        assert!(first.retrain.warm.cold_fits > 0);
+        assert!(first.warm.cold_fits > 0);
 
-        let second = fl.run_epoch(&refs).unwrap();
+        let second = retrain(&fl.run_epoch(&refs).unwrap());
         assert!(
-            second.retrain.warm.reused + second.retrain.warm.warm_fits > 0,
+            second.warm.reused + second.warm.warm_fits > 0,
             "epoch 2 should reuse or warm-start from v1: {:?}",
-            second.retrain.warm
+            second.warm
         );
 
         // With warm start disabled every fit is cold, every epoch.
-        let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(1)), 2);
-        let config = FeedbackConfig {
+        let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 2);
+        let mut cold_loop = one_shard_loop(FeedbackConfig {
             eviction: WindowEviction::JobCount(64),
             warm_start: false,
             ..FeedbackConfig::default()
-        };
-        let mut cold_loop = FeedbackLoop::new(config, Simulator::new(SimulatorConfig::default()));
+        });
         let cold_refs: Vec<&JobSpec> = workload.jobs.iter().take(40).collect();
         cold_loop.run_epoch(&cold_refs).unwrap();
-        let report = cold_loop.run_epoch(&cold_refs).unwrap();
-        assert_eq!(report.retrain.warm.reused, 0);
-        assert_eq!(report.retrain.warm.warm_fits, 0);
-        assert!(report.retrain.warm.cold_fits > 0);
+        let report = retrain(&cold_loop.run_epoch(&cold_refs).unwrap());
+        assert_eq!(report.warm.reused, 0);
+        assert_eq!(report.warm.warm_fits, 0);
+        assert!(report.warm.cold_fits > 0);
     }
 
     #[test]
@@ -856,8 +638,11 @@ mod tests {
         let (mut fl, jobs) = loop_with_small_window();
         let refs: Vec<&JobSpec> = jobs.iter().take(3).collect();
         let report = fl.run_epoch(&refs).unwrap();
-        assert_eq!(report.retrain.decision, PublishDecision::SkippedTooFewJobs);
-        assert_eq!(fl.registry().current_version(), 0);
+        assert_eq!(
+            retrain(&report).decision,
+            PublishDecision::SkippedTooFewJobs
+        );
+        assert_eq!(fl.registry().shard_version(ClusterId(0)), 0);
     }
 
     #[test]
@@ -865,11 +650,12 @@ mod tests {
         let (mut fl, jobs) = loop_with_small_window();
         let refs: Vec<&JobSpec> = jobs.iter().take(10).collect();
         fl.run_epoch(&refs).unwrap();
-        let window_before = fl.window().len();
+        let window = fl.window(ClusterId(0)).unwrap();
+        let window_before = window.len();
         // Re-observing the same telemetry pushes the window over its bound only
         // once it exceeds 64 jobs.
-        let copy = fl.window().clone();
-        let evicted = fl.observe(copy);
-        assert_eq!(evicted, (window_before * 2).saturating_sub(64));
+        let copy = window.clone();
+        let report = fl.observe(copy).unwrap();
+        assert_eq!(report.evicted_jobs, (window_before * 2).saturating_sub(64));
     }
 }

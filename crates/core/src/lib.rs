@@ -18,13 +18,14 @@
 //!   the evaluation helpers shared by the experiment runners,
 //! * [`registry`] — the versioned model registry: immutable predictor snapshots
 //!   behind an atomic publish/load seam, served to concurrent optimizations,
-//! * [`feedback`] — the continuous loop of Section 5.1: epoch-driven serving over a
-//!   bounded sliding telemetry window, parallel retraining, and holdout-guarded
-//!   version rollout,
-//! * [`sharding`] — the fleet-scale tier: per-cluster registry shards behind a
-//!   lock-free shard map, a routing [`cleo_optimizer::CostModelProvider`] with
-//!   deterministic cross-cluster fallback chains, per-cluster feedback
-//!   epochs running in parallel with drift-aware window eviction, and the
+//! * [`feedback`] — the shared cores of the continuous loop of Section 5.1: the
+//!   bounded sliding telemetry window, parallel retraining, holdout-guarded
+//!   version rollout, and sub-epoch delta rounds,
+//! * [`sharding`] — the serving and feedback tier: per-cluster registry shards
+//!   behind a lock-free shard map, a routing [`cleo_optimizer::CostModelProvider`]
+//!   with deterministic cross-cluster fallback chains, per-cluster feedback
+//!   epochs running in parallel with drift-aware window eviction (the paper's
+//!   single-cluster loop is a one-shard fleet), and the
 //!   [`sharding::ServingPool`] of shard-pinned, work-stealing worker threads,
 //! * [`serving`] — the async serving front end: open-loop arrivals, bounded
 //!   admission with shed/delay backpressure, and cross-job batch coalescing
@@ -90,8 +91,7 @@ pub use features::{
     normalized_weights,
 };
 pub use feedback::{
-    DeltaDecision, DeltaOutcome, DeltaRoundReport, EpochReport, FeedbackConfig, FeedbackLoop,
-    PublishDecision, RetrainOutcome, WindowEviction,
+    DeltaDecision, DeltaOutcome, FeedbackConfig, PublishDecision, RetrainOutcome, WindowEviction,
 };
 pub use ingest::{
     ingest_firehose, ingest_firehose_resilient, parse_telemetry, parse_telemetry_quarantine,
@@ -103,13 +103,10 @@ pub use models::{
     WarmStartStats,
 };
 pub use pipeline::{
-    collect_samples, compare_runs, evaluate_cost_model, evaluate_predictor, run_jobs,
-    run_jobs_shared, serve_jobs, train_predictor, JobComparison, ModelEvaluation,
+    collect_samples, compare_runs, evaluate_cost_model, evaluate_predictor, run_jobs, serve_jobs,
+    train_predictor, JobComparison, ModelEvaluation,
 };
-pub use registry::{
-    HoldoutMetrics, ModelDelta, ModelRegistry, ModelSnapshot, RegistryCostModelProvider,
-    SnapshotLineage,
-};
+pub use registry::{HoldoutMetrics, ModelDelta, ModelRegistry, ModelSnapshot, SnapshotLineage};
 pub use scenario::{CompiledSuite, ScenarioSuite};
 pub use serving::{
     open_loop_arrivals, serve_batch, Admission, CompletedRequest, DrainReport, FrontDoor,

@@ -2,11 +2,12 @@
 //!
 //! Section 5.1 describes Cleo's deployment loop: instrument runs → train models on a
 //! window of telemetry → feed the models back to the optimizer → plans improve → new
-//! telemetry.  The *continuous* version of that loop is [`crate::feedback`]; this
-//! module provides single turns of it ([`run_jobs`] / [`run_jobs_shared`] — the
-//! latter is the serving path the feedback loop itself uses) plus the evaluation
-//! helpers the experiment runners share (per-family accuracy/coverage in the same
-//! vocabulary as Tables 5, 7 and 8).
+//! telemetry.  The *continuous* version of that loop is
+//! [`crate::sharding::ShardedFeedbackLoop`]; this module provides single turns of
+//! it — [`run_jobs`] runs a borrowed model serially, [`serve_jobs`] serves through a
+//! [`CostModelProvider`] on the same path the feedback loop uses — plus the
+//! evaluation helpers the experiment runners share (per-family accuracy/coverage
+//! in the same vocabulary as Tables 5, 7 and 8).
 
 use cleo_common::stats;
 use cleo_common::Result;
@@ -23,8 +24,8 @@ use crate::trainer::{CleoTrainer, TrainerConfig};
 
 /// Optimize and simulate a set of jobs with a given cost model, producing telemetry.
 ///
-/// The one-shot borrowed-model path (no provenance stamps, serial).  Continuous
-/// serving against a mutable model registry goes through [`run_jobs_shared`].
+/// The one-shot borrowed-model path (no provenance stamps, serial).  Serving
+/// against a mutable model registry goes through [`serve_jobs`].
 pub fn run_jobs(
     jobs: &[&JobSpec],
     cost_model: &dyn CostModel,
@@ -41,22 +42,40 @@ pub fn run_jobs(
     Ok(log)
 }
 
-/// Optimize and simulate a set of jobs through a [`SharedOptimizer`] — the serving
-/// path of the feedback loop.
+/// Optimize and simulate a set of jobs against a [`CostModelProvider`] — the
+/// shared-serving path, outside any feedback epoch (epoch 0).
+///
+/// This is how the experiment runners exercise the registry and the prediction
+/// cache: a provider such as the sharded tier's
+/// [`crate::sharding::ClusterRouter`] serves every job the same way the
+/// continuous loop does, instead of borrowing a model directly.
+pub fn serve_jobs(
+    jobs: &[&JobSpec],
+    provider: Arc<dyn CostModelProvider>,
+    optimizer_config: OptimizerConfig,
+    simulator: &Simulator,
+    threads: usize,
+) -> Result<TelemetryLog> {
+    serve_jobs_in_epoch(jobs, provider, optimizer_config, simulator, 0, threads)
+}
+
+/// [`serve_jobs`] stamped with a feedback epoch: the serving path of every
+/// feedback round.
 ///
 /// Jobs are optimized across `threads` OS threads (0 = all cores), each against the
 /// provider's model snapshot at the moment it starts; simulation then runs in job
 /// order (the simulator derives its noise stream per job id, so the thread schedule
 /// cannot leak into the telemetry).  Every record is stamped with `epoch` and the
 /// registry version that optimized its plan.
-pub fn run_jobs_shared(
+pub(crate) fn serve_jobs_in_epoch(
     jobs: &[&JobSpec],
-    optimizer: &SharedOptimizer,
+    provider: Arc<dyn CostModelProvider>,
+    optimizer_config: OptimizerConfig,
     simulator: &Simulator,
     epoch: u32,
     threads: usize,
 ) -> Result<TelemetryLog> {
-    let optimized = optimizer.optimize_all(jobs, threads)?;
+    let optimized = SharedOptimizer::new(provider, optimizer_config).optimize_all(jobs, threads)?;
     let mut log = TelemetryLog::new();
     for plan in optimized {
         let run = simulator.run(&plan.plan);
@@ -72,24 +91,6 @@ pub fn run_jobs_shared(
         ));
     }
     Ok(log)
-}
-
-/// Optimize and simulate a set of jobs against a [`CostModelProvider`] — the
-/// shared-serving path, outside any feedback epoch (epoch 0).
-///
-/// This is how the experiment runners exercise the registry and the prediction
-/// cache: a provider backed by a [`crate::registry::ModelRegistry`] (or the
-/// sharded tier's [`crate::sharding::ClusterRouter`]) serves every job the same
-/// way the continuous loop does, instead of borrowing a model directly.
-pub fn serve_jobs(
-    jobs: &[&JobSpec],
-    provider: Arc<dyn CostModelProvider>,
-    optimizer_config: OptimizerConfig,
-    simulator: &Simulator,
-    threads: usize,
-) -> Result<TelemetryLog> {
-    let shared = SharedOptimizer::new(provider, optimizer_config);
-    run_jobs_shared(jobs, &shared, simulator, 0, threads)
 }
 
 /// Accuracy and coverage of one model (or model family) over an evaluation set,

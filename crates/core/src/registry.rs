@@ -9,16 +9,16 @@
 //! an optimization in flight keeps its snapshot alive even if ten newer versions
 //! are published before it finishes.
 //!
-//! [`RegistryCostModelProvider`] adapts the registry to the optimizer's
-//! [`CostModelProvider`] seam, serving a hand-written fallback model (version 0)
-//! until the first version is published and after a full rollback.
+//! Registries reach the optimizer's [`cleo_optimizer::CostModelProvider`] seam as
+//! the shards of a [`crate::sharding::ShardedRegistry`], routed by
+//! [`crate::sharding::ClusterRouter`], which serves a hand-written fallback model
+//! (version 0) until a shard's first publish and after a full rollback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use cleo_common::obs::{Obs, PublishKind, TraceEvent};
 use cleo_common::{CleoError, Result};
-use cleo_optimizer::{CostModel, CostModelProvider, ServedModel};
 
 use crate::integration::LearnedCostModel;
 use crate::models::{CleoPredictor, ModelStore};
@@ -573,72 +573,6 @@ impl ModelRegistry {
     }
 }
 
-/// Adapter serving a [`ModelRegistry`] through the optimizer's
-/// [`CostModelProvider`] seam, with a hand-written fallback for version 0.
-pub struct RegistryCostModelProvider {
-    registry: Arc<ModelRegistry>,
-    fallback: Arc<dyn CostModel>,
-}
-
-impl RegistryCostModelProvider {
-    /// Serve `registry`, falling back to `fallback` until a version is published.
-    pub fn new(registry: Arc<ModelRegistry>, fallback: Arc<dyn CostModel>) -> Self {
-        RegistryCostModelProvider { registry, fallback }
-    }
-
-    /// The registry being served.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
-    }
-
-    /// The version-0 fallback model served until the first publish.
-    pub fn fallback(&self) -> &Arc<dyn CostModel> {
-        &self.fallback
-    }
-}
-
-impl CostModelProvider for RegistryCostModelProvider {
-    fn current(&self) -> Arc<dyn CostModel> {
-        self.snapshot().0
-    }
-
-    fn current_version(&self) -> u64 {
-        self.registry.current_version()
-    }
-
-    fn snapshot(&self) -> (Arc<dyn CostModel>, u64) {
-        match self.registry.current() {
-            Some(s) => (Arc::clone(s.cost_model()) as Arc<dyn CostModel>, s.version),
-            None => (Arc::clone(&self.fallback), 0),
-        }
-    }
-
-    fn route_stamp(&self, _meta: &cleo_engine::physical::JobMeta) -> u64 {
-        // Routing depends only on the served version (every job gets the
-        // current snapshot), so the lock-free version stamp is the route stamp:
-        // worker-local snapshot caches revalidate with one atomic load per job
-        // and skip the `RwLock` + `Arc` clone until a publish changes it.
-        self.registry.current_version()
-    }
-
-    fn snapshot_for(&self, _meta: &cleo_engine::physical::JobMeta) -> ServedModel {
-        match self.registry.current() {
-            Some(s) => ServedModel {
-                model: Arc::clone(s.cost_model()) as Arc<dyn CostModel>,
-                version: s.version,
-                cluster: None,
-                delta_base: s.lineage.delta_base(),
-            },
-            None => ServedModel {
-                model: Arc::clone(&self.fallback),
-                version: 0,
-                cluster: None,
-                delta_base: None,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,8 +582,8 @@ mod tests {
     use cleo_engine::types::{ClusterId, DayIndex, JobId, OpStats};
     use cleo_optimizer::HeuristicCostModel;
 
-    fn tiny_predictor(scale: f64) -> CleoPredictor {
-        let meta = JobMeta {
+    fn job_meta() -> JobMeta {
+        JobMeta {
             id: JobId(1),
             cluster: ClusterId(0),
             template: None,
@@ -658,7 +592,11 @@ mod tests {
             params: vec![],
             day: DayIndex(0),
             recurring: true,
-        };
+        }
+    }
+
+    fn tiny_predictor(scale: f64) -> CleoPredictor {
+        let meta = job_meta();
         let samples: Vec<OperatorSample> = (0..24)
             .map(|i| {
                 let rows = 1e5 * (1.0 + i as f64);
@@ -767,21 +705,26 @@ mod tests {
 
     #[test]
     fn provider_serves_fallback_then_published_versions() {
-        let registry = Arc::new(ModelRegistry::new());
-        let provider = RegistryCostModelProvider::new(
-            Arc::clone(&registry),
+        use crate::sharding::{ClusterRouter, ShardedRegistry};
+        use cleo_optimizer::CostModelProvider;
+
+        let sharded = Arc::new(ShardedRegistry::new([ClusterId(0)]));
+        let registry = Arc::clone(sharded.shard(ClusterId(0)).unwrap());
+        let provider = ClusterRouter::with_uniform_similarity(
+            sharded,
             Arc::new(HeuristicCostModel::default_model()),
         );
-        let (model, version) = provider.snapshot();
-        assert_eq!(version, 0);
-        assert_eq!(model.name(), "Default");
+        let meta = job_meta();
+        let served = provider.snapshot_for(&meta);
+        assert_eq!(served.version, 0);
+        assert_eq!(served.model.name(), "Default");
 
         registry.publish(tiny_predictor(1.0), 1, metrics(0.9, 10.0));
-        let (model, version) = provider.snapshot();
-        assert_eq!(version, 1);
-        assert_eq!(model.name(), "CLEO (learned)");
-        assert_eq!(provider.current_version(), 1);
-        assert_eq!(provider.registry().version_count(), 1);
+        let served = provider.snapshot_for(&meta);
+        assert_eq!(served.version, 1);
+        assert_eq!(served.model.name(), "CLEO (learned)");
+        assert_eq!(provider.registry().shard_version(ClusterId(0)), 1);
+        assert_eq!(provider.registry().total_version_count(), 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   multi-cluster stream through the router, partition the telemetry by
 //!   cluster, and run one guarded retrain epoch **per shard in parallel**
 //!   (each reusing the PR 2 holdout guard and the dirty-signature warm start),
-//!   with optional drift-aware window eviction per cluster.  Every shard
+//!   with optional drift-aware window eviction per cluster.  The paper's
+//!   single-cluster loop is this fleet with one shard.  Every shard
 //!   publishes atomically into its own registry; readers never see a torn
 //!   fleet state because there is no cross-shard state to tear.
 
@@ -46,7 +47,7 @@ use cleo_optimizer::{
 
 use crate::feedback::{
     delta_round_window, retrain_window, DeltaOutcome, FeedbackConfig, PublishDecision,
-    RetrainOutcome,
+    RetrainOutcome, WindowEviction,
 };
 use crate::registry::ModelRegistry;
 
@@ -1448,6 +1449,20 @@ struct ShardState {
     live_baseline: Option<(u64, f64)>,
 }
 
+impl ShardState {
+    /// Extend the window with a round's telemetry, then apply the standard
+    /// eviction policy.  Returns the number of evicted jobs.
+    fn ingest(&mut self, log: Option<TelemetryLog>, eviction: WindowEviction) -> usize {
+        if let Some(log) = log {
+            self.window.extend(log);
+        }
+        match eviction {
+            WindowEviction::JobCount(max_jobs) => self.window.drain_window(max_jobs).len(),
+            WindowEviction::RecentDays(days) => self.window.retain_recent_days(days).len(),
+        }
+    }
+}
+
 /// What one epoch did on one shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardEpochReport {
@@ -1659,17 +1674,9 @@ impl ShardedFeedbackLoop {
                 None => unrouted_jobs += part.len(),
             }
         }
-        let config = self.config;
-        let (evictions, failed) = self.run_shard_rounds(ingest, |state, log| {
-            use crate::feedback::WindowEviction;
-            if let Some(log) = log {
-                state.window.extend(log);
-            }
-            Ok(match config.shard.eviction {
-                WindowEviction::JobCount(max_jobs) => state.window.drain_window(max_jobs).len(),
-                WindowEviction::RecentDays(days) => state.window.retain_recent_days(days).len(),
-            })
-        });
+        let eviction = self.config.shard.eviction;
+        let (evictions, failed) =
+            self.run_shard_rounds(ingest, |state, log| Ok(state.ingest(log, eviction)));
         Ok(ObserveReport {
             accepted_jobs,
             unrouted_jobs,
@@ -1713,7 +1720,7 @@ impl ShardedFeedbackLoop {
     /// Run one fleet-wide **sub-epoch delta round**: serve through the router,
     /// partition telemetry by cluster, and refit only each shard's dirty
     /// signatures in parallel, publishing per-shard copy-on-write deltas (see
-    /// [`crate::feedback::FeedbackLoop::run_delta_round`]).  Shards whose
+    /// [`crate::feedback::DeltaOutcome`]).  Shards whose
     /// registry is still cold skip (deltas apply over an incumbent); the epoch
     /// counter does not advance, and the next full epoch's training is
     /// bit-independent of any deltas published here.
@@ -1747,13 +1754,10 @@ impl ShardedFeedbackLoop {
     /// in; partitioning is consuming, so records move into the shard windows
     /// without cloning any plan.
     fn serve_and_partition(&self, jobs: &[&JobSpec], epoch: u32) -> Result<ServedPartition> {
-        let shared = SharedOptimizer::new(
+        let served = crate::pipeline::serve_jobs_in_epoch(
+            jobs,
             Arc::clone(&self.router) as Arc<dyn CostModelProvider>,
             self.config.shard.optimizer,
-        );
-        let served = crate::pipeline::run_jobs_shared(
-            jobs,
-            &shared,
             &self.simulator,
             epoch,
             self.config.shard.serving_threads,
@@ -1889,8 +1893,6 @@ fn run_shard_delta(
     epoch: u32,
     faults: Option<&FaultPlan>,
 ) -> Result<ShardDeltaReport> {
-    use crate::feedback::WindowEviction;
-
     let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
     if let Some(faults) = faults {
         let index = ((epoch as u64) << 8) | state.cluster.0 as u64;
@@ -1903,13 +1905,7 @@ fn run_shard_delta(
     }
 
     let ingested_jobs = ingest.as_ref().map_or(0, TelemetryLog::len);
-    if let Some(log) = ingest {
-        state.window.extend(log);
-    }
-    let evicted_jobs = match config.shard.eviction {
-        WindowEviction::JobCount(max_jobs) => state.window.drain_window(max_jobs).len(),
-        WindowEviction::RecentDays(days) => state.window.retain_recent_days(days).len(),
-    };
+    let evicted_jobs = state.ingest(ingest, config.shard.eviction);
 
     let started = Instant::now();
     let outcome = delta_round_window(&state.window, &config.shard, epoch, &state.registry)?;
@@ -1937,8 +1933,6 @@ fn run_shard_epoch(
     fallback: &Arc<dyn CostModel>,
     faults: Option<&FaultPlan>,
 ) -> Result<ShardEpochReport> {
-    use crate::feedback::WindowEviction;
-
     let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
     if let Some(faults) = faults {
         let index = ((epoch as u64) << 8) | state.cluster.0 as u64;
@@ -1951,13 +1945,7 @@ fn run_shard_epoch(
     }
 
     let ingested_jobs = ingest.as_ref().map_or(0, TelemetryLog::len);
-    if let Some(log) = ingest {
-        state.window.extend(log);
-    }
-    let evicted_jobs = match config.shard.eviction {
-        WindowEviction::JobCount(max_jobs) => state.window.drain_window(max_jobs).len(),
-        WindowEviction::RecentDays(days) => state.window.retain_recent_days(days).len(),
-    };
+    let evicted_jobs = state.ingest(ingest, config.shard.eviction);
 
     let mut drift_score = None;
     let mut drift_evicted = 0;

@@ -16,9 +16,13 @@
 //!    names versions that were actually published, and the shared prediction
 //!    cache can never serve a stale cost for a signature a delta refit.
 
+mod common;
+
 use std::sync::Arc;
 
-use cleo_core::feedback::{DeltaDecision, FeedbackConfig, FeedbackLoop, WindowEviction};
+use cleo_core::feedback::{
+    DeltaDecision, DeltaOutcome, FeedbackConfig, RetrainOutcome, WindowEviction,
+};
 use cleo_core::models::{CombinedModel, ModelStore, OperatorSample};
 use cleo_core::pipeline::run_jobs;
 use cleo_core::registry::{HoldoutMetrics, ModelDelta, ModelRegistry, SnapshotLineage};
@@ -27,7 +31,7 @@ use cleo_core::sharding::{
 };
 use cleo_core::signature::ModelFamily;
 use cleo_core::trainer::TrainerConfig;
-use cleo_core::{CleoPredictor, LearnedCostModel, PublishDecision, RegistryCostModelProvider};
+use cleo_core::{CleoPredictor, LearnedCostModel, PublishDecision};
 use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::physical::{JobMeta, PhysicalNode, PhysicalOpKind};
 use cleo_engine::telemetry::TelemetryLog;
@@ -40,6 +44,8 @@ use cleo_engine::workload::JobSpec;
 use cleo_optimizer::{
     CostModel, CostModelProvider, HeuristicCostModel, Optimizer, OptimizerConfig, SharedOptimizer,
 };
+
+use common::{one_shard_loop, one_shard_router, shard_registry, shard_window, CLUSTER};
 
 /// Three day-sliced telemetry logs of one small cluster, executed once under
 /// the default model — both equivalence histories replay the *same* records.
@@ -75,8 +81,18 @@ fn equivalence_config(threads: usize) -> FeedbackConfig {
     }
 }
 
-fn observe_loop(config: FeedbackConfig) -> FeedbackLoop {
-    FeedbackLoop::new(config, Simulator::new(SimulatorConfig::default()))
+fn observe_loop(config: FeedbackConfig) -> ShardedFeedbackLoop {
+    one_shard_loop(config, one_shard_router())
+}
+
+/// A full guarded retrain over the current window (an epoch serving no jobs).
+fn retrain(fl: &mut ShardedFeedbackLoop) -> RetrainOutcome {
+    fl.run_epoch(&[]).unwrap().shards[0].retrain
+}
+
+/// A dirty-only delta round over the current window (serving no jobs).
+fn publish_dirty(fl: &mut ShardedFeedbackLoop) -> DeltaOutcome {
+    fl.run_delta_round(&[]).unwrap().shards[0].outcome
 }
 
 /// Assert two predictors are bit-identical: same coverage, same per-signature
@@ -132,14 +148,14 @@ fn deltas_then_epoch_is_bit_identical_to_epoch_only() {
 
     // History A: epoch, delta, delta, epoch.
     let mut a = observe_loop(equivalence_config(2));
-    a.observe(day0.clone());
-    let first = a.retrain().unwrap();
+    a.observe(day0.clone()).unwrap();
+    let first = retrain(&mut a);
     assert!(matches!(
         first.decision,
         PublishDecision::Published { version: 1 }
     ));
-    a.observe(day1.clone());
-    let d1 = a.publish_dirty().unwrap();
+    a.observe(day1.clone()).unwrap();
+    let d1 = publish_dirty(&mut a);
     assert!(
         matches!(
             d1.decision,
@@ -151,37 +167,37 @@ fn deltas_then_epoch_is_bit_identical_to_epoch_only() {
         "day-1 ingest must dirty recurring signatures: {d1:?}"
     );
     assert!(d1.dirty_signatures > 0);
-    a.observe(day2.clone());
-    let d2 = a.publish_dirty().unwrap();
+    a.observe(day2.clone()).unwrap();
+    let d2 = publish_dirty(&mut a);
     assert!(
         matches!(d2.decision, DeltaDecision::Published { .. }),
         "{d2:?}"
     );
-    let final_a = a.retrain().unwrap();
+    let final_a = retrain(&mut a);
     assert!(matches!(
         final_a.decision,
         PublishDecision::Published { .. }
     ));
-    let snapshot_a = a.registry().current().unwrap();
+    let snapshot_a = shard_registry(&a).current().unwrap();
     assert_eq!(snapshot_a.lineage(), SnapshotLineage::FullEpoch);
 
     // History B: epoch, (observe only), epoch — no deltas ever.
     let mut b = observe_loop(equivalence_config(2));
-    b.observe(day0);
-    b.retrain().unwrap();
-    b.observe(day1);
-    b.observe(day2);
-    let final_b = b.retrain().unwrap();
+    b.observe(day0).unwrap();
+    retrain(&mut b);
+    b.observe(day1).unwrap();
+    b.observe(day2).unwrap();
+    let final_b = retrain(&mut b);
     assert!(matches!(
         final_b.decision,
         PublishDecision::Published { .. }
     ));
-    let snapshot_b = b.registry().current().unwrap();
+    let snapshot_b = shard_registry(&b).current().unwrap();
 
     // The delta history trained more versions, but the final full snapshots
     // are bit-identical.
-    assert!(a.registry().version_count() > b.registry().version_count());
-    let probes = cleo_core::trainer::CleoTrainer::collect_samples(a.window());
+    assert!(shard_registry(&a).version_count() > shard_registry(&b).version_count());
+    let probes = cleo_core::trainer::CleoTrainer::collect_samples(shard_window(&a));
     assert!(!probes.is_empty());
     assert_predictors_bit_identical(snapshot_a.predictor(), snapshot_b.predictor(), &probes);
     // And both full epochs trace their seed basis to themselves (FullEpoch).
@@ -198,10 +214,10 @@ fn delta_retraining_is_thread_count_invariant() {
 
     let run = |threads: usize| {
         let mut fl = observe_loop(equivalence_config(threads));
-        fl.observe(day0.clone());
-        fl.retrain().unwrap();
-        fl.observe(day1.clone());
-        let outcome = fl.publish_dirty().unwrap();
+        fl.observe(day0.clone()).unwrap();
+        retrain(&mut fl);
+        fl.observe(day1.clone()).unwrap();
+        let outcome = publish_dirty(&mut fl);
         assert!(
             matches!(outcome.decision, DeltaDecision::Published { .. }),
             "{outcome:?}"
@@ -216,9 +232,9 @@ fn delta_retraining_is_thread_count_invariant() {
         "dirty-set accounting must not depend on threads"
     );
 
-    let probes = cleo_core::trainer::CleoTrainer::collect_samples(fl_1.window());
-    let snap_1 = fl_1.registry().current().unwrap();
-    let snap_t = fl_t.registry().current().unwrap();
+    let probes = cleo_core::trainer::CleoTrainer::collect_samples(shard_window(&fl_1));
+    let snap_1 = shard_registry(&fl_1).current().unwrap();
+    let snap_t = shard_registry(&fl_t).current().unwrap();
     assert_eq!(snap_1.lineage(), snap_t.lineage());
     assert_predictors_bit_identical(snap_1.predictor(), snap_t.predictor(), &probes);
 }
@@ -227,17 +243,18 @@ fn delta_retraining_is_thread_count_invariant() {
 fn rollback_across_a_delta_restores_the_exact_predelta_snapshot() {
     let (_, day0, day1, _) = day_sliced_telemetry();
     let mut fl = observe_loop(equivalence_config(2));
-    fl.observe(day0);
-    fl.retrain().unwrap();
-    let v1 = fl.registry().current().unwrap();
+    fl.observe(day0).unwrap();
+    retrain(&mut fl);
+    let v1 = shard_registry(&fl).current().unwrap();
     // Ingest only a quarter of day 1: the untouched templates' specialised
     // signatures stay clean, so the delta is genuinely partial.
     let day1_jobs = day1.into_jobs();
     let quarter = (day1_jobs.len() / 4).max(1);
     fl.observe(TelemetryLog::from_jobs(
         day1_jobs.into_iter().take(quarter).collect(),
-    ));
-    let outcome = fl.publish_dirty().unwrap();
+    ))
+    .unwrap();
+    let outcome = publish_dirty(&mut fl);
     let DeltaDecision::Published {
         version,
         base_version,
@@ -249,7 +266,7 @@ fn rollback_across_a_delta_restores_the_exact_predelta_snapshot() {
     assert_eq!(base_version, 1);
     assert!(changed_signatures > 0);
 
-    let v2 = fl.registry().current().unwrap();
+    let v2 = shard_registry(&fl).current().unwrap();
     assert_eq!(v2.version(), version);
     assert_eq!(
         v2.lineage(),
@@ -285,16 +302,16 @@ fn rollback_across_a_delta_restores_the_exact_predelta_snapshot() {
     assert!(v2.cost_model().shares_cache_with(v1.cost_model()));
 
     // Rollback across the delta: the exact pre-delta snapshot serves again.
-    let back = fl.registry().rollback().unwrap();
+    let back = shard_registry(&fl).rollback().unwrap();
     assert!(
         Arc::ptr_eq(&back, &v1),
         "rollback must restore the same Arc"
     );
-    assert_eq!(fl.registry().current_version(), 1);
+    assert_eq!(shard_registry(&fl).current_version(), 1);
     // The delta version remains addressable in history.
-    assert_eq!(fl.registry().version_count(), 2);
+    assert_eq!(shard_registry(&fl).version_count(), 2);
     assert_eq!(
-        fl.registry()
+        shard_registry(&fl)
             .version(version)
             .unwrap()
             .lineage()
@@ -481,12 +498,9 @@ fn concurrent_readers_see_complete_snapshots_across_interleaved_deltas() {
         )
     };
 
-    let registry = Arc::new(ModelRegistry::new());
+    let provider = one_shard_router();
+    let registry = Arc::clone(provider.registry().shard(CLUSTER).unwrap());
     registry.publish(full_predictor(1.0), 1, metrics());
-    let provider = Arc::new(RegistryCostModelProvider::new(
-        Arc::clone(&registry),
-        Arc::new(HeuristicCostModel::default_model()),
-    ));
     let shared = SharedOptimizer::new(
         Arc::clone(&provider) as Arc<dyn CostModelProvider>,
         OptimizerConfig::resource_aware(),
@@ -573,41 +587,47 @@ fn feedback_loop_delta_rounds_publish_and_stamp_lineage() {
         serving_threads: 2,
         ..FeedbackConfig::default()
     };
-    let mut fl = FeedbackLoop::new(config, Simulator::new(SimulatorConfig::default()));
+    let mut fl = observe_loop(config);
     let refs: Vec<&JobSpec> = workload.jobs.iter().take(40).collect();
 
     // A cold registry cannot be delta-patched.
     let cold = fl.run_delta_round(&refs[..2]).unwrap();
-    assert_eq!(cold.outcome.decision, DeltaDecision::SkippedNoBase);
+    assert_eq!(
+        cold.shards[0].outcome.decision,
+        DeltaDecision::SkippedNoBase
+    );
 
     fl.run_epoch(&refs).unwrap();
-    assert_eq!(fl.registry().current_version(), 1);
+    assert_eq!(shard_registry(&fl).current_version(), 1);
 
     // A delta round between epochs: re-serving grows the window, dirtying the
     // recurring signatures, and publishes v2 = v1 ⊕ delta.
     let round = fl.run_delta_round(&refs).unwrap();
-    assert_eq!(round.served_version, 1);
+    assert_eq!(round.routing.own_hits, 40, "v1 serves the round");
     assert_eq!(round.jobs_run, 40);
+    let outcome = round.shards[0].outcome;
     let DeltaDecision::Published {
         version,
         base_version,
         ..
-    } = round.outcome.decision
+    } = outcome.decision
     else {
-        panic!("expected a published delta: {:?}", round.outcome)
+        panic!("expected a published delta: {outcome:?}")
     };
     assert_eq!((version, base_version), (2, 1));
     assert_eq!(fl.epoch(), 1, "delta rounds do not advance the epoch");
     assert_eq!(
-        fl.registry().current().unwrap().lineage().delta_base(),
+        shard_registry(&fl)
+            .current()
+            .unwrap()
+            .lineage()
+            .delta_base(),
         Some(1)
     );
 
     // Jobs served *after* the delta carry the delta lineage end to end.
-    let next = fl.run_delta_round(&refs).unwrap();
-    assert_eq!(next.served_version, 2);
-    assert!(fl
-        .window()
+    fl.run_delta_round(&refs).unwrap();
+    assert!(shard_window(&fl)
         .jobs()
         .iter()
         .any(|j| j.provenance.model_version == 2 && j.provenance.delta_base == Some(1)));

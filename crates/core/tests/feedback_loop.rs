@@ -1,5 +1,5 @@
 //! Feedback-loop system tests: the properties the continuous-retraining refactor
-//! promised.
+//! promised, pinned on the paper's single-cluster loop (a one-shard fleet).
 //!
 //! 1. **Determinism** — N epochs of the loop publish bit-identical registry
 //!    versions whether serving/training runs on 1 thread or T.
@@ -10,17 +10,23 @@
 //!    plans with lower end-to-end latency than the default cost model that served
 //!    epoch 1.
 
+mod common;
+
+use std::sync::Arc;
+
 use cleo_common::rng::DetRng;
-use cleo_core::feedback::{FeedbackConfig, FeedbackLoop, PublishDecision, WindowEviction};
-use cleo_engine::exec::{Simulator, SimulatorConfig};
+use cleo_core::feedback::{FeedbackConfig, PublishDecision, WindowEviction};
+use cleo_core::sharding::{ShardedEpochReport, ShardedFeedbackLoop};
+use cleo_engine::telemetry::TelemetryLog;
 use cleo_engine::workload::generator::{generate_cluster_workload, ClusterConfig};
 use cleo_engine::workload::JobSpec;
-use cleo_engine::ClusterId;
+
+use common::{one_shard_loop, one_shard_router, shard_registry, shard_window, CLUSTER};
 
 fn jobs() -> Vec<JobSpec> {
     // Two generated days of one small cluster: plenty of recurring templates, so
     // per-signature models cover most of the next epoch's operators.
-    generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 2).jobs
+    generate_cluster_workload(&ClusterConfig::small(CLUSTER), 2).jobs
 }
 
 fn config(threads: usize) -> FeedbackConfig {
@@ -33,16 +39,23 @@ fn config(threads: usize) -> FeedbackConfig {
     config
 }
 
+/// Run one epoch and return the version that served its jobs (0 = the
+/// fallback model) with the report.
+fn run_epoch(fl: &mut ShardedFeedbackLoop, jobs: &[&JobSpec]) -> (u64, ShardedEpochReport) {
+    let served_version = shard_registry(fl).current_version();
+    (served_version, fl.run_epoch(jobs).unwrap())
+}
+
 #[test]
 fn epochs_are_bit_identical_across_thread_counts() {
     let jobs = jobs();
     let refs: Vec<&JobSpec> = jobs.iter().collect();
 
     let run_loop = |threads: usize| {
-        let mut fl = FeedbackLoop::new(config(threads), Simulator::new(SimulatorConfig::default()));
+        let mut fl = one_shard_loop(config(threads), one_shard_router());
         let mut reports = Vec::new();
         for _ in 0..3 {
-            reports.push(fl.run_epoch(&refs).unwrap());
+            reports.push(run_epoch(&mut fl, &refs));
         }
         (fl, reports)
     };
@@ -52,10 +65,14 @@ fn epochs_are_bit_identical_across_thread_counts() {
         let (parallel_loop, parallel_reports) = run_loop(threads);
 
         // Same decisions, same served versions, same telemetry totals per epoch.
-        for (a, b) in serial_reports.iter().zip(&parallel_reports) {
+        for ((served_a, a), (served_b, b)) in serial_reports.iter().zip(&parallel_reports) {
             assert_eq!(a.epoch, b.epoch);
-            assert_eq!(a.served_version, b.served_version, "epoch {}", a.epoch);
-            assert_eq!(a.retrain.decision, b.retrain.decision, "epoch {}", a.epoch);
+            assert_eq!(served_a, served_b, "epoch {}", a.epoch);
+            assert_eq!(
+                a.shards[0].retrain.decision, b.shards[0].retrain.decision,
+                "epoch {}",
+                a.epoch
+            );
             assert_eq!(
                 a.total_latency.to_bits(),
                 b.total_latency.to_bits(),
@@ -67,14 +84,13 @@ fn epochs_are_bit_identical_across_thread_counts() {
         // Same published versions, and each version's predictor is bit-identical:
         // probed over real plans, every prediction matches to the last bit.
         assert_eq!(
-            serial_loop.registry().version_count(),
-            parallel_loop.registry().version_count()
+            shard_registry(&serial_loop).version_count(),
+            shard_registry(&parallel_loop).version_count()
         );
-        for (a, b) in serial_loop
-            .registry()
+        for (a, b) in shard_registry(&serial_loop)
             .versions()
             .iter()
-            .zip(parallel_loop.registry().versions())
+            .zip(shard_registry(&parallel_loop).versions())
         {
             assert_eq!(a.version(), b.version());
             assert_eq!(a.epoch(), b.epoch());
@@ -84,7 +100,7 @@ fn epochs_are_bit_identical_across_thread_counts() {
             );
             // Probe every operator of a dozen executed plans: predictions must
             // match to the last bit.
-            for telemetry in serial_loop.window().jobs().iter().take(12) {
+            for telemetry in shard_window(&serial_loop).jobs().iter().take(12) {
                 for node in telemetry.plan.operators() {
                     let x = a
                         .predictor()
@@ -108,22 +124,23 @@ fn epochs_are_bit_identical_across_thread_counts() {
 fn poisoned_epoch_keeps_serving_the_previous_version() {
     let jobs = jobs();
     let refs: Vec<&JobSpec> = jobs.iter().collect();
-    let mut fl = FeedbackLoop::new(config(2), Simulator::new(SimulatorConfig::default()));
+    let router = one_shard_router();
+    let mut fl = one_shard_loop(config(2), Arc::clone(&router));
 
     // A clean epoch publishes version 1.
     let first = fl.run_epoch(&refs).unwrap();
     assert!(matches!(
-        first.retrain.decision,
+        first.shards[0].retrain.decision,
         PublishDecision::Published { version: 1 }
     ));
-    assert_eq!(fl.registry().current_version(), 1);
+    assert_eq!(shard_registry(&fl).current_version(), 1);
 
     // Poison the next window: scramble the labels of every job the holdout split
     // will NOT sample (the guard's holdout stride is 1/holdout_fraction), so the
     // candidate trains on garbage while the guard still measures against clean
     // telemetry — the exact corruption the guarded rollout exists for.
-    let stride = fl.holdout_stride();
-    let mut poisoned_jobs = fl.window().clone().into_jobs();
+    let stride = config(2).holdout_stride();
+    let mut poisoned_jobs = shard_window(&fl).clone().into_jobs();
     let mut rng = DetRng::new(0xBAD);
     for (i, job) in poisoned_jobs.iter_mut().enumerate() {
         if i % stride == 0 {
@@ -134,12 +151,12 @@ fn poisoned_epoch_keeps_serving_the_previous_version() {
             run.exclusive_seconds = rng.uniform(1e-3, 1e3);
         }
     }
-    fl.clear_window();
-    fl.observe(cleo_engine::telemetry::TelemetryLog::from_jobs(
-        poisoned_jobs,
-    ));
+    // A fresh loop over the same router keeps v1 serving and starts with an
+    // empty window, which then holds only the poisoned telemetry.
+    let mut fl = one_shard_loop(config(2), router);
+    fl.observe(TelemetryLog::from_jobs(poisoned_jobs)).unwrap();
 
-    let outcome = fl.retrain().unwrap();
+    let outcome = fl.run_epoch(&[]).unwrap().shards[0].retrain;
     assert_eq!(
         outcome.decision,
         PublishDecision::RejectedRegression,
@@ -148,32 +165,32 @@ fn poisoned_epoch_keeps_serving_the_previous_version() {
         outcome.incumbent
     );
     // The registry still serves version 1; nothing new was published.
-    assert_eq!(fl.registry().current_version(), 1);
-    assert_eq!(fl.registry().version_count(), 1);
+    assert_eq!(shard_registry(&fl).current_version(), 1);
+    assert_eq!(shard_registry(&fl).version_count(), 1);
 }
 
 #[test]
 fn learned_versions_beat_the_default_model_within_three_epochs() {
     let jobs = jobs();
     let refs: Vec<&JobSpec> = jobs.iter().collect();
-    let mut fl = FeedbackLoop::new(config(0), Simulator::new(SimulatorConfig::default()));
+    let mut fl = one_shard_loop(config(0), one_shard_router());
 
     let mut reports = Vec::new();
     for _ in 0..3 {
-        reports.push(fl.run_epoch(&refs).unwrap());
+        reports.push(run_epoch(&mut fl, &refs));
     }
-    assert_eq!(reports[0].served_version, 0, "epoch 1 = default cost model");
+    assert_eq!(reports[0].0, 0, "epoch 1 = default cost model");
     assert!(
-        reports.iter().skip(1).any(|r| r.served_version > 0),
+        reports.iter().skip(1).any(|(served, _)| *served > 0),
         "a learned version must start serving within 3 epochs"
     );
 
-    let baseline = reports[0].total_latency;
+    let baseline = reports[0].1.total_latency;
     let best_learned = reports
         .iter()
         .skip(1)
-        .filter(|r| r.served_version > 0)
-        .map(|r| r.total_latency)
+        .filter(|(served, _)| *served > 0)
+        .map(|(_, r)| r.total_latency)
         .fold(f64::INFINITY, f64::min);
     assert!(
         best_learned < baseline,
@@ -182,11 +199,10 @@ fn learned_versions_beat_the_default_model_within_three_epochs() {
 
     // The loop never publishes a regressing version: every published snapshot's
     // holdout metrics were at least as good as its incumbent's at publish time.
-    for report in &reports {
-        if let (Some(candidate), Some(incumbent)) =
-            (report.retrain.candidate, report.retrain.incumbent)
-        {
-            if matches!(report.retrain.decision, PublishDecision::Published { .. }) {
+    for (_, report) in &reports {
+        let retrain = report.shards[0].retrain;
+        if let (Some(candidate), Some(incumbent)) = (retrain.candidate, retrain.incumbent) {
+            if matches!(retrain.decision, PublishDecision::Published { .. }) {
                 assert!(
                     !candidate.regresses_from(&incumbent, 0.02, 2.0),
                     "published a regressing candidate: {candidate:?} vs {incumbent:?}"

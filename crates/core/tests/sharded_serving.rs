@@ -1,20 +1,29 @@
 //! Integration tests of the cross-cluster sharded serving tier: per-shard
 //! publish-during-optimize consistency, deterministic cross-shard fallback
-//! resolution (1 thread vs N bit-identical), and the cold-shard → warm-shard
-//! transition.
+//! resolution (1 thread vs N bit-identical), the cold-shard → warm-shard
+//! transition, and a one-shard fleet serving a foreign cluster from the
+//! fallback.
+
+mod common;
 
 use std::sync::Arc;
 
+use cleo_core::feedback::{FeedbackConfig, PublishDecision};
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
+use cleo_core::pipeline;
 use cleo_core::registry::HoldoutMetrics;
 use cleo_core::sharding::{ClusterRouter, ShardedRegistry};
 use cleo_core::signature::ModelFamily;
 use cleo_engine::catalog::{Catalog, ColumnDef, TableDef};
+use cleo_engine::exec::{Simulator, SimulatorConfig};
 use cleo_engine::logical::LogicalNode;
 use cleo_engine::physical::{JobMeta, PhysicalNode, PhysicalOpKind};
 use cleo_engine::types::{ClusterId, DayIndex, JobId, OpStats};
+use cleo_engine::workload::generator::{generate_cluster_workload, interleave_jobs, ClusterConfig};
 use cleo_engine::workload::JobSpec;
 use cleo_optimizer::{CostModelProvider, HeuristicCostModel, OptimizerConfig, SharedOptimizer};
+
+use common::{one_shard_loop, one_shard_router, shard_registry, shard_window};
 
 /// A small trained predictor whose scale differs per seed, so different shard
 /// versions produce observably different models.
@@ -260,4 +269,82 @@ fn cold_shard_transitions_to_warm_shard_serving() {
     router.registry().shard(ClusterId(3)).unwrap().rollback();
     let plan = shared.optimize(&j).unwrap();
     assert_eq!(plan.stats.model_cluster, Some(ClusterId(1)));
+}
+
+#[test]
+fn one_shard_fleet_serves_a_foreign_cluster_from_the_fallback() {
+    // A single-cluster deployment (one shard, cluster 0) fed a stream that
+    // also carries cluster 1's jobs.
+    let workloads: Vec<_> = (0u8..2)
+        .map(|c| generate_cluster_workload(&ClusterConfig::small(ClusterId(c)), 1))
+        .collect();
+    let stream: Vec<&JobSpec> = interleave_jobs(&workloads);
+    let foreign = stream
+        .iter()
+        .filter(|j| j.meta.cluster == ClusterId(1))
+        .count();
+    let own = stream.len() - foreign;
+    assert!(own > 0 && foreign > 0);
+
+    let router = one_shard_router();
+    let mut fleet = one_shard_loop(
+        FeedbackConfig {
+            serving_threads: 2,
+            ..FeedbackConfig::default()
+        },
+        Arc::clone(&router),
+    );
+
+    // Epoch 1: the shard is cold, so every job is served by the fallback;
+    // the foreign jobs have no shard to learn in.
+    let first = fleet.run_epoch(&stream).unwrap();
+    assert_eq!(first.unrouted_jobs, foreign);
+    assert_eq!(first.routing.fallback_hits, stream.len() as u64);
+    assert!(matches!(
+        first.shards[0].retrain.decision,
+        PublishDecision::Published { version: 1 }
+    ));
+    assert_eq!(shard_registry(&fleet).current_version(), 1);
+
+    // Epoch 2: the shard's v1 serves its own cluster; the foreign cluster
+    // still gets the fallback (no donor exists in a one-shard fleet).
+    let second = fleet.run_epoch(&stream).unwrap();
+    assert_eq!(second.unrouted_jobs, foreign);
+    assert_eq!(second.routing.own_hits, own as u64);
+    assert_eq!(second.routing.donor_hits, 0);
+    assert_eq!(second.routing.fallback_hits, foreign as u64);
+    assert_eq!(second.shards[0].ingested_jobs, own);
+
+    // Provenance: fallback-served records carry version 0 and no cluster.
+    let served = pipeline::serve_jobs(
+        &stream,
+        Arc::clone(&router) as Arc<dyn CostModelProvider>,
+        OptimizerConfig::resource_aware(),
+        &Simulator::new(SimulatorConfig::default()),
+        2,
+    )
+    .unwrap();
+    for record in served.jobs() {
+        if record.plan.meta.cluster == ClusterId(1) {
+            assert_eq!(record.provenance.model_version, 0);
+            assert_eq!(record.provenance.model_cluster, None);
+        } else {
+            assert!(record.provenance.model_version > 0);
+            assert_eq!(record.provenance.model_cluster, Some(ClusterId(0)));
+        }
+    }
+
+    // Offline ingest counts the foreign records as unrouted too.
+    let report = fleet.observe(served).unwrap();
+    assert_eq!(report.unrouted_jobs, foreign);
+    assert_eq!(report.accepted_jobs, own);
+
+    // The shard's window holds only its own cluster.
+    let window = shard_window(&fleet);
+    assert!(!window.is_empty());
+    assert!(window
+        .jobs()
+        .iter()
+        .all(|j| j.plan.meta.cluster == ClusterId(0)));
+    assert!(fleet.window(ClusterId(1)).is_none());
 }

@@ -17,12 +17,14 @@
 //! 5. **Fleet restore** — a sharded registry restores warm shards at their
 //!    saved versions and brings unsaved clusters up cold.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use cleo_common::rng::DetRng;
 use cleo_common::CleoError;
-use cleo_core::feedback::{DeltaDecision, FeedbackConfig, FeedbackLoop, WindowEviction};
+use cleo_core::feedback::{DeltaDecision, FeedbackConfig, WindowEviction};
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::pipeline;
 use cleo_core::registry::{HoldoutMetrics, ModelRegistry, SnapshotLineage};
@@ -40,6 +42,8 @@ use cleo_engine::workload::generator::{
 };
 use cleo_engine::workload::JobSpec;
 use cleo_optimizer::{CostModel, HeuristicCostModel, OptimizerConfig};
+
+use common::{one_shard_loop, one_shard_router, shard_registry, shard_window};
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -289,7 +293,7 @@ fn delta_chain_round_trips_with_its_full_basis() {
     .unwrap();
     let day = |d: u32| log.slice_days(DayIndex(d), DayIndex(d));
 
-    let mut fl = FeedbackLoop::new(
+    let mut fl = one_shard_loop(
         FeedbackConfig {
             eviction: WindowEviction::JobCount(1_000_000),
             correlation_tolerance: 10.0,
@@ -300,17 +304,18 @@ fn delta_chain_round_trips_with_its_full_basis() {
             },
             ..FeedbackConfig::default()
         },
-        Simulator::new(SimulatorConfig::default()),
+        one_shard_router(),
     );
-    fl.observe(day(0));
-    fl.retrain().unwrap();
-    fl.observe(day(1));
-    let outcome = fl.publish_dirty().unwrap();
+    fl.observe(day(0)).unwrap();
+    fl.run_epoch(&[]).unwrap();
+    fl.observe(day(1)).unwrap();
+    let outcome = fl.run_delta_round(&[]).unwrap().shards[0].outcome;
     assert!(
         matches!(outcome.decision, DeltaDecision::Published { .. }),
         "{outcome:?}"
     );
-    let v2 = fl.registry().current().unwrap();
+    let registry = shard_registry(&fl);
+    let v2 = registry.current().unwrap();
     let SnapshotLineage::Delta {
         base_version,
         changed_signatures,
@@ -321,7 +326,7 @@ fn delta_chain_round_trips_with_its_full_basis() {
     assert_eq!(base_version, 1);
 
     // The frame carries the chain: full basis first, then the delta.
-    let bytes = fl.registry().snapshot_bytes().unwrap();
+    let bytes = registry.snapshot_bytes().unwrap();
     let restored = ModelRegistry::from_snapshot_bytes(&bytes).unwrap();
     assert_eq!(restored.snapshot_bytes().unwrap(), bytes);
     assert_eq!(restored.version_count(), 2);
@@ -339,7 +344,7 @@ fn delta_chain_round_trips_with_its_full_basis() {
     assert_eq!(basis.lineage(), SnapshotLineage::FullEpoch);
 
     // Restored serving is bit-identical to the live delta chain.
-    let probes = cleo_core::trainer::CleoTrainer::collect_samples(fl.window());
+    let probes = cleo_core::trainer::CleoTrainer::collect_samples(shard_window(&fl));
     assert_eq!(
         probe_bits(v2.predictor(), &probes),
         probe_bits(current.predictor(), &probes)

@@ -12,7 +12,7 @@
 //! capacity — never touches the allocator either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cleo_core::models::PredictScratch;
@@ -22,20 +22,47 @@ use cleo_engine::workload::generator::{generate_cluster_workload, ClusterConfig}
 use cleo_engine::ClusterId;
 use cleo_optimizer::{HeuristicCostModel, OptimizerConfig};
 
+/// Counts the allocations of an armed thread only: the harness runs tests on
+/// parallel threads, and their allocations must not land in another test's
+/// measured window.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so the allocator can read them
+    // without allocating or registering a destructor.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// Start counting this thread's allocations from zero.
+fn arm() {
+    ALLOCATIONS.set(0);
+    ARMED.set(true);
+}
+
+/// Stop counting and return how many allocations this thread made since
+/// [`arm`].
+fn disarm() -> usize {
+    ARMED.set(false);
+    ALLOCATIONS.get()
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -79,25 +106,23 @@ fn steady_state_candidate_sweep_allocates_nothing() {
         })
         .collect();
     let mut total_candidates = 0usize;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    arm();
     let mut acc = 0.0;
     for &(node, meta) in &nodes {
         let breakdowns = predictor.predict_candidates_with(node, &candidates, meta, &mut scratch);
         acc += breakdowns.iter().map(|b| b.combined).sum::<f64>();
         total_candidates += breakdowns.len();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = disarm();
     assert!(acc.is_finite());
     assert!(
         total_candidates > 1000,
         "swept {total_candidates} candidates"
     );
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "steady-state sweeps must not allocate (got {} allocations over {} candidates)",
-        after - before,
-        total_candidates
+        allocations, total_candidates
     );
 }
 
@@ -150,7 +175,7 @@ fn ragged_simd_sweep_allocates_nothing() {
                 .map(move |n| (n, &job.plan.meta))
         })
         .collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    arm();
     let mut acc = 0.0;
     let mut total_candidates = 0usize;
     for candidates in &candidate_sets {
@@ -160,18 +185,16 @@ fn ragged_simd_sweep_allocates_nothing() {
             total_candidates += b.len();
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = disarm();
     assert!(acc.is_finite());
     assert!(
         total_candidates > 500,
         "swept {total_candidates} candidates"
     );
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "ragged SIMD sweeps must not allocate (got {} allocations over {} candidates)",
-        after - before,
-        total_candidates
+        allocations, total_candidates
     );
 }
 
@@ -195,7 +218,7 @@ fn steady_state_ndjson_scan_allocates_nothing() {
     let expected = scan_ndjson(buf).expect("scan");
     assert_eq!(expected.jobs, log.len());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    arm();
     let mut jobs_seen = 0usize;
     let mut operators_seen = 0usize;
     for _ in 0..50 {
@@ -203,14 +226,13 @@ fn steady_state_ndjson_scan_allocates_nothing() {
         jobs_seen += summary.jobs;
         operators_seen += summary.operators;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = disarm();
     assert_eq!(jobs_seen, expected.jobs * 50);
     assert_eq!(operators_seen, expected.operators * 50);
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "the NDJSON validation scan must not allocate (got {} allocations over 50 scans)",
-        after - before
+        allocations
     );
 }
 
@@ -254,18 +276,17 @@ fn disabled_obs_route_resolution_allocates_nothing() {
     let warm = router.snapshot_for(meta);
     assert_eq!(warm.version, 1);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    arm();
     let mut versions = 0u64;
     for _ in 0..2000 {
         versions += router.snapshot_for(meta).version;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = disarm();
     assert_eq!(versions, 2000);
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "disabled-obs route resolution must not allocate (got {} allocations)",
-        after - before
+        allocations
     );
 }
 
@@ -292,7 +313,7 @@ fn steady_state_obs_recording_allocates_nothing() {
         verdict: AdmissionKind::Admitted,
     });
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    arm();
     for i in 0..4000u64 {
         counter.add(1);
         gauge.set_max(i);
@@ -303,12 +324,11 @@ fn steady_state_obs_recording_allocates_nothing() {
             verdict: AdmissionKind::Admitted,
         });
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = disarm();
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "steady-state metric/trace recording must not allocate (got {} allocations)",
-        after - before
+        allocations
     );
     assert_eq!(counter.sum(), 4001);
     assert_eq!(gauge.get(), 3999);

@@ -27,9 +27,8 @@ use std::time::{Duration, Instant};
 use cleo_bench::context::BenchMeta;
 use cleo_common::fault::FaultPlan;
 use cleo_common::obs::Obs;
-use cleo_core::ingest::{
-    parse_telemetry_quarantine, parse_telemetry_quarantine_obs, QuarantinePolicy, WireFormat,
-};
+use cleo_common::Instruments;
+use cleo_core::ingest::{parse_telemetry_quarantine, QuarantinePolicy, WireFormat};
 use cleo_core::serving::{FrontDoor, FrontDoorConfig, OverloadPolicy};
 use cleo_core::sharding::{ClusterRouter, ServingPool, ShardedRegistry};
 use cleo_core::HoldoutMetrics;
@@ -135,16 +134,17 @@ fn main() {
         );
     }
     let fallback: Arc<dyn CostModel> = Arc::new(HeuristicCostModel::default_model());
-    // One observability registry across all three passes: router hits, pool
-    // survivability counters, and the quarantine's ingest counters all land
-    // here and are folded into the JSON result.
+    // The fault-free baseline serves through a quiet router; the chaos and
+    // recovery passes through a router over the same shards instrumented
+    // with the fault plan and one observability registry.  Its router hits,
+    // the chaos pool's survivability counters, and the quarantine's ingest
+    // counters all land there and are folded into the JSON result.
     let obs = Arc::new(Obs::new());
-    let router = Arc::new(
-        ClusterRouter::new(registry, fallback, &profiles).with_obs(Some(Arc::clone(&obs))),
-    );
-    let shared = || {
+    let shared = |instruments: Instruments| {
+        let router = ClusterRouter::new(Arc::clone(&registry), Arc::clone(&fallback), &profiles)
+            .with_instruments(instruments);
         SharedOptimizer::new(
-            Arc::clone(&router) as Arc<dyn CostModelProvider>,
+            Arc::new(router) as Arc<dyn CostModelProvider>,
             OptimizerConfig::resource_aware(),
         )
     };
@@ -183,7 +183,11 @@ fn main() {
 
     // Pass 1 — fault-free baseline on a fresh pool (warmup pass first so
     // model-snapshot caches don't bill to the baseline).
-    let baseline_pool = Arc::new(ServingPool::new(shared(), SHARDS, WORKERS));
+    let baseline_pool = Arc::new(ServingPool::new(
+        shared(Instruments::default()),
+        SHARDS,
+        WORKERS,
+    ));
     run_pass(&baseline_pool, &requests, config);
     let (base_ok, _, _, _, _, base_elapsed) = run_pass(&baseline_pool, &requests, config);
     let base_goodput = base_ok as f64 / base_elapsed.as_secs_f64().max(1e-9);
@@ -191,12 +195,13 @@ fn main() {
     // Pass 2 — chaos: every request's task sequence is inside the fault
     // horizon (retries run past it, which is what lets them succeed).
     let horizon = n_requests as u64;
-    let plan = FaultPlan::chaos(FAULT_SEED, horizon);
-    let chaos_pool = Arc::new(ServingPool::with_faults(
-        shared().with_obs(Some(Arc::clone(&obs))),
+    let chaos_pool = Arc::new(ServingPool::new(
+        shared(Instruments {
+            obs: Some(Arc::clone(&obs)),
+            faults: Some(Arc::new(FaultPlan::chaos(FAULT_SEED, horizon))),
+        }),
         SHARDS,
         WORKERS,
-        plan.clone().handle(),
     ));
     let (chaos_ok, chaos_expired, chaos_errored, chaos_retried, chaos_shed, chaos_elapsed) =
         run_pass(&chaos_pool, &requests, config);
@@ -253,21 +258,19 @@ fn main() {
         error_budget: 0.25,
     };
     let threads = cores.max(2);
-    let (log_1t, quarantine_1t) = parse_telemetry_quarantine(
-        text.as_bytes(),
-        WireFormat::Ndjson,
-        1,
-        &policy,
-        Some(&poison_plan),
-    )
-    .expect("quarantine 1t");
-    let (log_nt, quarantine_nt) = parse_telemetry_quarantine_obs(
+    let poisoned = Instruments::faulted(poison_plan);
+    let (log_1t, quarantine_1t) =
+        parse_telemetry_quarantine(text.as_bytes(), WireFormat::Ndjson, 1, &policy, &poisoned)
+            .expect("quarantine 1t");
+    let (log_nt, quarantine_nt) = parse_telemetry_quarantine(
         text.as_bytes(),
         WireFormat::Ndjson,
         threads,
         &policy,
-        Some(&poison_plan),
-        Some(&obs),
+        &Instruments {
+            obs: Some(Arc::clone(&obs)),
+            ..poisoned
+        },
     )
     .expect("quarantine nt");
     assert_eq!(log_1t.len(), log_nt.len(), "kept records match 1 vs N");

@@ -24,6 +24,7 @@ use std::time::Duration;
 
 use cleo_bench::{BenchGroup, BenchMeta};
 use cleo_common::obs::Obs;
+use cleo_common::Instruments;
 use cleo_core::feedback::{DeltaDecision, DeltaOutcome, FeedbackConfig, WindowEviction};
 use cleo_core::sharding::{
     ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
@@ -92,13 +93,15 @@ fn main() {
     // single-cluster loop).  Registry lifecycle (epoch/delta publishes and the
     // bench's rollbacks) flows into one observability registry, snapshotted
     // into the JSON below.
-    let router = Arc::new(ClusterRouter::with_uniform_similarity(
-        Arc::new(ShardedRegistry::new([ClusterId(0)])),
-        Arc::new(HeuristicCostModel::default_model()),
-    ));
-    let registry = Arc::clone(router.registry().shard(ClusterId(0)).expect("shard"));
     let obs = Arc::new(Obs::new());
-    registry.attach_obs(Arc::clone(&obs), 0);
+    let router = Arc::new(
+        ClusterRouter::with_uniform_similarity(
+            Arc::new(ShardedRegistry::new([ClusterId(0)])),
+            Arc::new(HeuristicCostModel::default_model()),
+        )
+        .with_instruments(Instruments::observed(Arc::clone(&obs))),
+    );
+    let registry = Arc::clone(router.registry().shard(ClusterId(0)).expect("shard"));
     let mut fl = ShardedFeedbackLoop::new(
         ShardedFeedbackConfig {
             shard: FeedbackConfig {

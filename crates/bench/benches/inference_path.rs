@@ -18,7 +18,6 @@
 use std::sync::Arc;
 
 use cleo_bench::{BenchGroup, BenchMeta};
-use cleo_common::obs::Obs;
 use cleo_core::models::PredictScratch;
 use cleo_core::{pipeline, LearnedCostModel, TrainerConfig};
 use cleo_engine::workload::JobSpec;
@@ -38,9 +37,6 @@ fn main() {
         pipeline::train_predictor(&cluster.train_log, TrainerConfig::default()).expect("train"),
     );
     let uncached = LearnedCostModel::without_cache(Arc::clone(&predictor));
-    // The model's live invocation counter doubles as the registry metric.
-    let obs = Obs::new();
-    uncached.register_metrics(obs.metrics(), "cost_model");
 
     // (a) Uncached costing, recurring-workload shape (32-candidate sweeps over
     // every operator of 20 test-day plans) — comparable with the
@@ -127,7 +123,8 @@ fn main() {
         return;
     }
     let meta_fields = BenchMeta::capture(4).json_fields();
-    let metrics_json = obs.metrics().snapshot().to_json();
+    // Every costing call the bench made, read off the model's own counter.
+    let invocations = uncached.invocation_count();
     let json = format!(
         "{{\n  \"bench\": \"inference_path\",\n  {meta_fields},\n  \
          \"predictions_per_run\": {predictions_per_run},\n  \
@@ -138,7 +135,7 @@ fn main() {
          \"simd_speedup_vs_presimd\": {simd_speedup:.3},\n  \
          \"ns_per_candidate_64cand_sweep\": {ns_per_candidate:.1},\n  \
          \"enumeration_alternatives_per_sec\": {alternatives_per_sec:.1},\n  \
-         \"metrics\": {metrics_json}\n}}\n"
+         \"cost_model_invocations\": {invocations}\n}}\n"
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

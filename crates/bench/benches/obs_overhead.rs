@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use cleo_bench::context::BenchMeta;
 use cleo_common::obs::{BreakerKind, Obs, RouteKind, TraceEvent};
+use cleo_common::Instruments;
 use cleo_core::serving::{FrontDoor, FrontDoorConfig, OverloadPolicy};
 use cleo_core::sharding::{
     BreakerPolicy, BreakerState, ClusterRouter, ServingPool, ShardedRegistry,
@@ -109,13 +110,13 @@ fn failing_job(id: u64, cluster: u8) -> Arc<JobSpec> {
     })
 }
 
-/// Build a warm four-shard serving stack; `obs` decides whether the router
-/// and pool carry an observability handle (the only difference between the
-/// two phase-A stacks).
+/// Build a warm four-shard serving stack; `instruments` decide whether the
+/// router (and with it the pool) carries an observability handle (the only
+/// difference between the two phase-A stacks).
 fn build_pool(
     ctx: &cleo_bench::ExperimentContext,
     profiles: &[WorkloadProfile],
-    obs: Option<Arc<Obs>>,
+    instruments: Instruments,
 ) -> Arc<ServingPool> {
     let registry = Arc::new(ShardedRegistry::new((0u8..4).map(ClusterId)));
     for (c, cluster) in ctx.clusters.iter().enumerate() {
@@ -126,12 +127,12 @@ fn build_pool(
         );
     }
     let fallback: Arc<dyn CostModel> = Arc::new(HeuristicCostModel::default_model());
-    let router = Arc::new(ClusterRouter::new(registry, fallback, profiles).with_obs(obs.clone()));
+    let router =
+        Arc::new(ClusterRouter::new(registry, fallback, profiles).with_instruments(instruments));
     let shared = SharedOptimizer::new(
         Arc::clone(&router) as Arc<dyn CostModelProvider>,
         OptimizerConfig::resource_aware(),
-    )
-    .with_obs(obs);
+    );
     Arc::new(ServingPool::new(shared, SHARDS, WORKERS))
 }
 
@@ -216,8 +217,8 @@ fn main() {
     // Phase A — enabled-vs-disabled overhead on identical stacks.
     // -----------------------------------------------------------------------
     let obs = Arc::new(Obs::new());
-    let disabled_pool = build_pool(&ctx, &profiles, None);
-    let enabled_pool = build_pool(&ctx, &profiles, Some(Arc::clone(&obs)));
+    let disabled_pool = build_pool(&ctx, &profiles, Instruments::default());
+    let enabled_pool = build_pool(&ctx, &profiles, Instruments::observed(Arc::clone(&obs)));
 
     // One warmup pass per stack (model-snapshot caches, worker spin-up), then
     // `iters` timed passes each; the per-variant minimum is the noise-robust
@@ -262,13 +263,12 @@ fn main() {
                 trip_after: TRIP_AFTER,
                 cooldown: COOLDOWN,
             })
-            .with_obs(Some(Arc::clone(&trace_obs))),
+            .with_instruments(Instruments::observed(Arc::clone(&trace_obs))),
     );
     let shared = SharedOptimizer::new(
         Arc::clone(&router) as Arc<dyn CostModelProvider>,
         OptimizerConfig::resource_aware(),
-    )
-    .with_obs(Some(Arc::clone(&trace_obs)));
+    );
     let pool = ServingPool::new(shared, SHARDS, 2);
 
     // Waiting on each ticket before submitting the next keeps the scenario

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use cleo_bench::context::BenchMeta;
 use cleo_common::obs::{LatencyHistogram, Obs};
+use cleo_common::Instruments;
 use cleo_core::serving::{open_loop_arrivals, FrontDoor, FrontDoorConfig, OverloadPolicy};
 use cleo_core::sharding::{ClusterRouter, ServingPool, ShardedRegistry};
 use cleo_core::HoldoutMetrics;
@@ -76,7 +77,8 @@ fn main() {
     // the JSON result.
     let obs = Arc::new(Obs::new());
     let router = Arc::new(
-        ClusterRouter::new(registry, fallback, &profiles).with_obs(Some(Arc::clone(&obs))),
+        ClusterRouter::new(registry, fallback, &profiles)
+            .with_instruments(Instruments::observed(Arc::clone(&obs))),
     );
     let shared = || {
         SharedOptimizer::new(
@@ -120,11 +122,7 @@ fn main() {
 
     // Replay the deterministic schedule against the wall clock.
     let arrivals = open_loop_arrivals(SCHEDULE_SEED, offered_rate, n_requests);
-    let pool = Arc::new(ServingPool::new(
-        shared().with_obs(Some(Arc::clone(&obs))),
-        SHARDS,
-        WORKERS,
-    ));
+    let pool = Arc::new(ServingPool::new(shared(), SHARDS, WORKERS));
     let config = FrontDoorConfig {
         max_queue_depth: 64,
         policy: OverloadPolicy::Shed,

@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 
 use cleo_bench::{BenchGroup, BenchMeta};
 use cleo_common::obs::Obs;
+use cleo_common::Instruments;
 use cleo_core::feedback::{FeedbackConfig, WindowEviction};
 use cleo_core::sharding::{
     ClusterRouter, ServingPool, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry,
@@ -86,7 +87,7 @@ fn main() {
     let obs = Arc::new(Obs::new());
     let router = Arc::new(
         ClusterRouter::new(Arc::clone(&registry), Arc::clone(&fallback), &profiles)
-            .with_obs(Some(Arc::clone(&obs))),
+            .with_instruments(Instruments::observed(Arc::clone(&obs))),
     );
     let shared = SharedOptimizer::new(
         Arc::clone(&router) as Arc<dyn CostModelProvider>,

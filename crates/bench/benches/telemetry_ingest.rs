@@ -21,7 +21,6 @@
 use std::sync::Arc;
 
 use cleo_bench::{BenchGroup, BenchMeta};
-use cleo_common::obs::Obs;
 use cleo_core::feedback::{FeedbackConfig, WindowEviction};
 use cleo_core::ingest::{ingest_firehose, parse_telemetry, WireFormat};
 use cleo_core::{ClusterRouter, ShardedFeedbackConfig, ShardedFeedbackLoop, ShardedRegistry};
@@ -91,16 +90,10 @@ fn main() {
         .map(|i| ClusterId(i as u8))
         .collect();
     let registry = Arc::new(ShardedRegistry::new(clusters));
-    // Ingest counters (kept/quarantined) flow through the fleet router's
-    // observability handle into the snapshot folded into the JSON below.
-    let obs = Arc::new(Obs::new());
-    let router = Arc::new(
-        ClusterRouter::with_uniform_similarity(
-            registry,
-            Arc::new(HeuristicCostModel::default_model()),
-        )
-        .with_obs(Some(Arc::clone(&obs))),
-    );
+    let router = Arc::new(ClusterRouter::with_uniform_similarity(
+        registry,
+        Arc::new(HeuristicCostModel::default_model()),
+    ));
     let mut fleet = ShardedFeedbackLoop::new(
         ShardedFeedbackConfig {
             shard: FeedbackConfig {
@@ -133,7 +126,6 @@ fn main() {
     );
 
     let meta_fields = meta.json_fields();
-    let metrics_json = obs.metrics().snapshot().to_json();
     let json = format!(
         "{{\n  \"bench\": \"telemetry_ingest\",\n  {meta_fields},\n  \
          \"jobs\": {n_jobs},\n  \"ndjson_bytes\": {},\n  \"binary_bytes\": {},\n  \
@@ -145,8 +137,7 @@ fn main() {
          \"binary_parse_jobs_per_sec_1t\": {bin_1t_jps:.1},\n  \
          \"binary_parse_jobs_per_sec_nt\": {bin_nt_jps:.1},\n  \
          \"binary_parallel_speedup\": {:.3},\n  \
-         \"ingest_window_jobs_per_sec\": {ingest_jps:.1},\n  \
-         \"metrics\": {metrics_json}\n}}\n",
+         \"ingest_window_jobs_per_sec\": {ingest_jps:.1}\n}}\n",
         text.len(),
         bytes.len(),
         nd_nt_jps / nd_1t_jps.max(1e-12),

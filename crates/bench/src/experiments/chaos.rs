@@ -1,10 +1,11 @@
 //! The chaos experiment: graceful degradation under seeded fault injection.
 //!
 //! Runs the four-cluster fleet through three epochs with a deterministic
-//! [`FaultPlan`] armed only for the middle one: epoch 1 is fault-free, epoch 2
-//! panics a seeded subset of shard rounds (the failures are isolated — the
-//! fleet epoch completes and every failed shard's incumbent keeps serving),
-//! and epoch 3 runs with the plan removed, so every shard recovers.  A footer
+//! [`FaultPlan`] whose window covers only the middle one: epoch 1 is
+//! fault-free, epoch 2 panics a seeded subset of shard rounds (the failures
+//! are isolated — the fleet epoch completes and every failed shard's
+//! incumbent keeps serving), and epoch 3 runs past the plan's horizon, so
+//! every shard recovers.  A footer
 //! demonstrates the telemetry quarantine: the same fleet firehose with ~5% of
 //! records poisoned parses to the healthy majority plus a bounded quarantine
 //! log instead of aborting the feed.
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use cleo_common::fault::FaultPlan;
 use cleo_common::table::TextTable;
-use cleo_common::Result;
+use cleo_common::{Instruments, Result};
 
 use cleo_core::feedback::{FeedbackConfig, PublishDecision, WindowEviction};
 use cleo_core::ingest::{parse_telemetry_quarantine, QuarantinePolicy, WireFormat};
@@ -59,11 +60,21 @@ pub fn chaos(ctx: &ExperimentContext) -> Result<String> {
     let registry = Arc::new(ShardedRegistry::new(
         ctx.clusters.iter().map(|c| c.workload.cluster),
     ));
-    let router = Arc::new(ClusterRouter::new(
-        registry,
-        Arc::new(HeuristicCostModel::default_model()),
-        &profiles,
-    ));
+    // The plan panics shard rounds in epoch 2 only: the shard-round index is
+    // `epoch << 8 | cluster`, so `[512, 768)` covers exactly epoch 2.
+    let router = Arc::new(
+        ClusterRouter::new(
+            registry,
+            Arc::new(HeuristicCostModel::default_model()),
+            &profiles,
+        )
+        .with_instruments(Instruments::faulted(FaultPlan {
+            shard_round_panic_rate: 0.5,
+            after: 512,
+            horizon: 768,
+            ..FaultPlan::quiet(FAULT_SEED)
+        })),
+    );
     let mut fleet = ShardedFeedbackLoop::new(
         ShardedFeedbackConfig {
             shard: FeedbackConfig {
@@ -90,22 +101,7 @@ pub fn chaos(ctx: &ExperimentContext) -> Result<String> {
     );
     let mut isolation_notes: Vec<String> = Vec::new();
     for epoch in 1u64..=3 {
-        // Arm the plan for epoch 2 only: the shard-round index is
-        // `epoch << 8 | cluster`, so `[512, 768)` covers exactly epoch 2.
-        let (armed, plan) = match epoch {
-            2 => (
-                "panic 0.5",
-                FaultPlan {
-                    shard_round_panic_rate: 0.5,
-                    after: 512,
-                    horizon: 768,
-                    ..FaultPlan::quiet(FAULT_SEED)
-                }
-                .handle(),
-            ),
-            _ => ("none", None),
-        };
-        fleet.set_fault_plan(plan);
+        let armed = if epoch == 2 { "panic 0.5" } else { "none" };
         let report = fleet.run_epoch(&stream)?;
         for shard in &report.shards {
             let outcome = match shard.retrain.decision {
@@ -171,7 +167,7 @@ pub fn chaos(ctx: &ExperimentContext) -> Result<String> {
         WireFormat::Ndjson,
         0,
         &policy,
-        Some(&poison),
+        &Instruments::faulted(poison),
     )?;
     out.push_str(&format!(
         "\nQuarantine: {} of {} firehose records poisoned (seed {FAULT_SEED}); {} healthy \

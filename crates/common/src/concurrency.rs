@@ -14,6 +14,17 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Lock a mutex, recovering the data if a panicking holder poisoned it.
+///
+/// Only for mutexes whose guarded state is valid at every instant (caches
+/// that may lose entries, append-only logs and maps, queues of whole tasks):
+/// a poisoned lock then carries no torn state, and the standard `expect`
+/// would turn one caught panic into a permanently failing lock.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// One counter stripe, padded to a cacheline so neighbouring stripes never
 /// share one (64 bytes covers every mainstream x86/ARM configuration).

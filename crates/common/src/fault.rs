@@ -10,18 +10,18 @@
 //! determinism suites pin "quarantine set is bit-identical 1 vs N threads
 //! under a fixed fault seed".
 //!
-//! Plans are threaded through the production code as `Option<Arc<FaultPlan>>`:
-//! the disabled path costs one pointer-nullness branch per site, and a `None`
-//! plan is bit-identical to a plan whose rates are all zero (pinned by the
-//! chaos tests).
+//! A plan reaches the production code as [`crate::Instruments::faults`],
+//! fixed once on the cluster router: without a plan each site costs one
+//! pointer-nullness branch, and no plan is bit-identical to a plan whose
+//! rates are all zero (pinned by the chaos tests).  Because a plan is
+//! installed for a stack's whole life, its window (below) is what confines
+//! faults to the part of a run under test.
 //!
 //! Each decision window is `after <= index < horizon`.  The `horizon` bound is
 //! what makes recovery measurable: after the last scheduled fault the system
 //! must return to fault-free behavior, and a bench can assert goodput
 //! recovers.  The `after` bound lets a test target a specific victim (e.g.
 //! "only the publish of version 2 regresses").
-
-use std::sync::Arc;
 
 /// Injection sites a [`FaultPlan`] can schedule faults at.
 ///
@@ -130,11 +130,6 @@ impl FaultPlan {
             after: 0,
             horizon,
         }
-    }
-
-    /// Convenience: wrap in the `Option<Arc<..>>` shape the seams thread.
-    pub fn handle(self) -> Option<Arc<FaultPlan>> {
-        Some(Arc::new(self))
     }
 
     /// The per-site firing probability.

@@ -11,10 +11,12 @@
 //!   figures (Figures 1, 11, 12, 13, 15),
 //! * [`hash`] — stable 64-bit hashing used for operator/subgraph signatures
 //!   (Section 5.1 of the paper),
-//! * [`concurrency`] — cacheline-striped counters for the serving hot path,
+//! * [`concurrency`] — cacheline-striped counters for the serving hot path and
+//!   the poison-tolerant lock helper,
 //! * [`fault`] — seeded, deterministic fault injection for chaos testing,
 //! * [`obs`] — the observability layer: metrics registry, mergeable latency
-//!   histograms, and deterministic trace events,
+//!   histograms, deterministic trace events, and the [`Instruments`] handle
+//!   that carries observability and fault injection into the stack,
 //! * [`scan`] — SWAR byte scanning and span-exact number parsing for the
 //!   streaming telemetry readers,
 //! * [`table`] — plain-text table rendering for the experiment runners,
@@ -35,4 +37,4 @@ pub mod table;
 
 pub use error::{CleoError, Result};
 pub use fault::{FaultPlan, FaultSite};
-pub use obs::{MetricsSnapshot, Obs, TraceEvent};
+pub use obs::{Instruments, MetricsSnapshot, Obs, TraceEvent};

@@ -26,10 +26,15 @@
 //!   N-thread run of the same workload produce the same event multiset, and
 //!   [`TraceLog::drain_sorted`] the same event *sequence* (test-pinned).
 //!
-//! The whole layer threads through production code as `Option<Arc<Obs>>`, in
-//! the style of [`crate::fault::FaultPlan`]: the disabled path costs one
-//! pointer-nullness branch per site, allocates nothing, and is bit-identical
-//! to the enabled path in every serving result.
+//! An [`Obs`] handle reaches production code inside [`Instruments`], next to
+//! the [`FaultPlan`]: one cheap-to-clone value, fixed once on the cluster
+//! router, that every serving and feedback layer reads from there.  Without
+//! an `Obs` (the default) each site costs one pointer-nullness branch,
+//! allocates nothing, and serves results bit-identical to the observed path.
+//!
+//! Trace stripes and metric maps only ever gain entries, so their locks are
+//! taken with [`lock_unpoisoned`]: a panic while one is held loses nothing
+//! already recorded and leaves the log usable.
 //!
 //! Metric and event names are lowercase dotted identifiers (`[a-z0-9_.]`),
 //! which keeps the JSON exporter escape-free.
@@ -39,7 +44,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::concurrency::{thread_slot, StripedCounter};
+use crate::concurrency::{lock_unpoisoned, thread_slot, StripedCounter};
+use crate::fault::FaultPlan;
 use crate::table::TextTable;
 
 /// `cluster` value for events not attributable to one cluster shard.
@@ -419,7 +425,7 @@ pub enum TraceEvent {
     Publish {
         /// New version (rollbacks: the abandoned version).
         seq: u64,
-        /// Cluster shard ([`NO_CLUSTER`] for unsharded registries).
+        /// Cluster shard ([`NO_CLUSTER`] when not attributable to one).
         cluster: u16,
         /// How the version came to be current.
         lineage: PublishKind,
@@ -581,7 +587,7 @@ impl TraceLog {
     #[inline]
     pub fn record(&self, event: TraceEvent) {
         let shard = &self.shards[thread_slot() & (TRACE_SHARDS - 1)];
-        let mut events = shard.events.lock().expect("trace shard poisoned");
+        let mut events = lock_unpoisoned(&shard.events);
         if events.len() < self.capacity_per_shard {
             events.push(event);
         } else {
@@ -593,7 +599,7 @@ impl TraceLog {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.events.lock().expect("trace shard poisoned").len())
+            .map(|s| lock_unpoisoned(&s.events).len())
             .sum()
     }
 
@@ -613,7 +619,7 @@ impl TraceLog {
     pub fn drain_sorted(&self) -> Vec<TraceEvent> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.append(&mut shard.events.lock().expect("trace shard poisoned"));
+            all.append(&mut lock_unpoisoned(&shard.events));
         }
         all.sort_unstable();
         all
@@ -623,7 +629,7 @@ impl TraceLog {
     pub fn snapshot_sorted(&self) -> Vec<TraceEvent> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend(shard.events.lock().expect("trace shard poisoned").iter());
+            all.extend(lock_unpoisoned(&shard.events).iter());
         }
         all.sort_unstable();
         all
@@ -653,7 +659,7 @@ impl MetricsRegistry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<StripedCounter> {
-        let mut map = self.counters.lock().expect("registry poisoned");
+        let mut map = lock_unpoisoned(&self.counters);
         if let Some(c) = map.get(name) {
             return Arc::clone(c);
         }
@@ -666,15 +672,12 @@ impl MetricsRegistry {
     /// the same object, the registry snapshots it.  Re-registering a name
     /// replaces the previous binding (last writer wins).
     pub fn register_counter(&self, name: &str, counter: &Arc<StripedCounter>) {
-        self.counters
-            .lock()
-            .expect("registry poisoned")
-            .insert(name.to_string(), Arc::clone(counter));
+        lock_unpoisoned(&self.counters).insert(name.to_string(), Arc::clone(counter));
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("registry poisoned");
+        let mut map = lock_unpoisoned(&self.gauges);
         if let Some(g) = map.get(name) {
             return Arc::clone(g);
         }
@@ -685,7 +688,7 @@ impl MetricsRegistry {
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<LatencyHistogram> {
-        let mut map = self.histograms.lock().expect("registry poisoned");
+        let mut map = lock_unpoisoned(&self.histograms);
         if let Some(h) = map.get(name) {
             return Arc::clone(h);
         }
@@ -697,34 +700,22 @@ impl MetricsRegistry {
     /// Adopt an existing histogram under `name` (see
     /// [`MetricsRegistry::register_counter`]).
     pub fn register_histogram(&self, name: &str, histogram: &Arc<LatencyHistogram>) {
-        self.histograms
-            .lock()
-            .expect("registry poisoned")
-            .insert(name.to_string(), Arc::clone(histogram));
+        lock_unpoisoned(&self.histograms).insert(name.to_string(), Arc::clone(histogram));
     }
 
     /// Point-in-time values of every registered metric, name-sorted.  Exact
     /// once writers have quiesced.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .expect("registry poisoned")
+            counters: lock_unpoisoned(&self.counters)
                 .iter()
                 .map(|(name, c)| (name.clone(), c.sum()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("registry poisoned")
+            gauges: lock_unpoisoned(&self.gauges)
                 .iter()
                 .map(|(name, g)| (name.clone(), g.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("registry poisoned")
+            histograms: lock_unpoisoned(&self.histograms)
                 .iter()
                 .map(|(name, h)| (name.clone(), h.snapshot()))
                 .collect(),
@@ -849,9 +840,9 @@ impl MetricsSnapshot {
 // Obs handle
 // ---------------------------------------------------------------------------
 
-/// The observability handle the stack threads as `Option<Arc<Obs>>`: one
-/// metrics registry plus one trace log.  `None` is the production default —
-/// bit-identical serving results, zero allocation, one nullness branch per
+/// The observability handle: one metrics registry plus one trace log, carried
+/// to the stack by [`Instruments::obs`].  No handle is the production default
+/// — bit-identical serving results, zero allocation, one nullness branch per
 /// site (pinned by `zero_alloc.rs` and the observability suite).
 #[derive(Debug, Default)]
 pub struct Obs {
@@ -873,12 +864,6 @@ impl Obs {
         }
     }
 
-    /// Convenience: wrap in the `Option<Arc<..>>` shape the seams thread
-    /// (mirrors [`crate::fault::FaultPlan::handle`]).
-    pub fn handle(self) -> Option<Arc<Obs>> {
-        Some(Arc::new(self))
-    }
-
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -893,6 +878,41 @@ impl Obs {
     #[inline]
     pub fn emit(&self, event: TraceEvent) {
         self.trace.record(event);
+    }
+}
+
+/// The instrumentation of one serving/feedback stack: its observability
+/// handle and its fault-injection schedule.
+///
+/// Cheap to clone (two optional `Arc`s).  The default is *quiet* — no
+/// metrics, no trace, no faults — which is the production path.  A stack's
+/// instruments are fixed once, on its cluster router, and every layer built
+/// over the router (serving optimizer, pool, front door, feedback loop,
+/// registry shards) reads them from there.
+#[derive(Debug, Clone, Default)]
+pub struct Instruments {
+    /// Where metrics and trace events go (`None` = unobserved).
+    pub obs: Option<Arc<Obs>>,
+    /// Which faults to inject (`None` = none; behaves exactly like a plan
+    /// whose rates are all zero).
+    pub faults: Option<Arc<FaultPlan>>,
+}
+
+impl Instruments {
+    /// Instruments that observe into `obs` and inject no faults.
+    pub fn observed(obs: Arc<Obs>) -> Instruments {
+        Instruments {
+            obs: Some(obs),
+            faults: None,
+        }
+    }
+
+    /// Instruments that inject `plan`'s faults and observe nothing.
+    pub fn faulted(plan: FaultPlan) -> Instruments {
+        Instruments {
+            obs: None,
+            faults: Some(Arc::new(plan)),
+        }
     }
 }
 
@@ -1103,9 +1123,46 @@ mod tests {
 
     #[test]
     fn obs_handle_mirrors_fault_plan_seam() {
-        let obs: Option<Arc<Obs>> = Obs::new().handle();
-        assert!(obs.is_some());
-        let none: Option<Arc<Obs>> = None;
-        assert!(none.is_none());
+        // Obs and the fault plan travel in one handle; the default is quiet.
+        let quiet = Instruments::default();
+        assert!(quiet.obs.is_none() && quiet.faults.is_none());
+        let live = Instruments {
+            obs: Some(Arc::new(Obs::new())),
+            ..Instruments::faulted(FaultPlan::quiet(1))
+        };
+        // A clone shares both handles: every layer reads the same registry.
+        let copy = live.clone();
+        assert!(matches!((&live.obs, &copy.obs), (Some(a), Some(b)) if Arc::ptr_eq(a, b)));
+        assert!(matches!((&live.faults, &copy.faults), (Some(a), Some(b)) if Arc::ptr_eq(a, b)));
+    }
+
+    #[test]
+    fn a_poisoned_trace_shard_keeps_recording_and_draining() {
+        let obs = Obs::new();
+        let event = |seq| TraceEvent::Quarantine {
+            seq,
+            record: seq,
+            line: 1,
+        };
+        obs.emit(event(1));
+        // Poison this thread's home stripe (and a metric map) from a thread
+        // that panics while holding the locks.
+        let home = thread_slot() & (TRACE_SHARDS - 1);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _events = obs.trace().shards[home].events.lock();
+                    let _counters = obs.metrics().counters.lock();
+                    panic!("poison the trace stripe");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(obs.trace().shards[home].events.is_poisoned());
+        obs.emit(event(2));
+        obs.metrics().counter("after.poison").add(1);
+        assert_eq!(obs.trace().len(), 2);
+        assert_eq!(obs.trace().drain_sorted(), vec![event(1), event(2)]);
+        assert_eq!(obs.metrics().snapshot().counter("after.poison"), Some(1));
     }
 }

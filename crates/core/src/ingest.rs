@@ -17,12 +17,14 @@
 //!
 //! [`ingest_firehose`] is the end-to-end path: parallel parse, then
 //! [`ShardedFeedbackLoop::observe`] — partition by cluster and window on the
-//! loop's shard thread pool.
+//! loop's shard thread pool.  [`parse_telemetry_quarantine`] is the resilient
+//! parse for live feeds: it refuses bad records one at a time instead of
+//! aborting, and reports into the caller's [`Instruments`].
 
 use cleo_common::fault::{FaultPlan, FaultSite};
-use cleo_common::obs::{Obs, TraceEvent};
+use cleo_common::obs::TraceEvent;
 use cleo_common::scan::{split_at_newline, Lines};
-use cleo_common::{CleoError, Result};
+use cleo_common::{CleoError, Instruments, Result};
 use cleo_engine::telemetry::TelemetryLog;
 use cleo_engine::telemetry_io::{
     binary_record_payloads, decode_binary_record, ndjson_line_day, read_binary, read_ndjson,
@@ -74,39 +76,9 @@ fn parse_ndjson_parallel(buf: &[u8], threads: usize) -> Result<TelemetryLog> {
         return read_ndjson(buf);
     }
 
-    // Newline-aligned chunk boundaries; a chunk's first line number is one
-    // past the newlines before it.
-    let mut bounds = vec![0usize];
-    for t in 1..threads {
-        let target = buf.len() * t / threads;
-        let cut = split_at_newline(buf, target).max(*bounds.last().expect("non-empty"));
-        if cut > *bounds.last().expect("non-empty") {
-            bounds.push(cut);
-        }
-    }
-    bounds.push(buf.len());
-    let chunks: Vec<(usize, &[u8])> = {
-        let mut first_line = 1usize;
-        bounds
-            .windows(2)
-            .map(|w| {
-                let chunk = &buf[w[0]..w[1]];
-                let entry = (first_line, chunk);
-                first_line += chunk.iter().filter(|&&b| b == b'\n').count();
-                entry
-            })
-            .collect()
-    };
-
-    let results: Vec<Result<TelemetryLog>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&(first_line, chunk)| scope.spawn(move || read_ndjson_at(chunk, first_line)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest parse worker panicked"))
-            .collect()
+    let chunks = ndjson_chunks(buf, threads);
+    let results = fan_out(chunks.iter().copied(), |(first_line, chunk)| {
+        read_ndjson_at(chunk, first_line)
     });
 
     // Byte-order merge with cross-boundary day-order checks.  A worker error
@@ -158,43 +130,30 @@ fn parse_binary_parallel(buf: &[u8], threads: usize) -> Result<TelemetryLog> {
     let threads = threads.min(payloads.len());
     let per = payloads.len().div_ceil(threads);
 
-    let results: Vec<Result<TelemetryLog>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = payloads
-            .chunks(per)
-            .enumerate()
-            .map(|(i, range)| {
-                let base = i * per;
-                scope.spawn(move || {
-                    let mut jobs = Vec::with_capacity(range.len());
-                    let mut prev_day: Option<u32> = None;
-                    for (k, payload) in range.iter().enumerate() {
-                        let record = base + k + 1;
-                        let job = decode_binary_record(record, payload)?;
-                        let day = job.day().0;
-                        if let Some(prev) = prev_day {
-                            if day < prev {
-                                return Err(cleo_common::CleoError::Parse {
-                                    line: record,
-                                    start: BINARY_DAY_SPAN.0,
-                                    end: BINARY_DAY_SPAN.1,
-                                    msg: format!(
-                                        "out-of-order day {day}: an earlier record already \
-                                         reached day {prev}"
-                                    ),
-                                });
-                            }
-                        }
-                        prev_day = Some(day);
-                        jobs.push(job);
-                    }
-                    Ok(TelemetryLog::from_jobs(jobs))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest parse worker panicked"))
-            .collect()
+    let results = fan_out(payloads.chunks(per).enumerate(), |(i, range)| {
+        let base = i * per;
+        let mut jobs = Vec::with_capacity(range.len());
+        let mut prev_day: Option<u32> = None;
+        for (k, payload) in range.iter().enumerate() {
+            let record = base + k + 1;
+            let job = decode_binary_record(record, payload)?;
+            let day = job.day().0;
+            if let Some(prev) = prev_day {
+                if day < prev {
+                    return Err(cleo_common::CleoError::Parse {
+                        line: record,
+                        start: BINARY_DAY_SPAN.0,
+                        end: BINARY_DAY_SPAN.1,
+                        msg: format!(
+                            "out-of-order day {day}: an earlier record already reached day {prev}"
+                        ),
+                    });
+                }
+            }
+            prev_day = Some(day);
+            jobs.push(job);
+        }
+        Ok(TelemetryLog::from_jobs(jobs))
     });
 
     let mut merged = TelemetryLog::new();
@@ -225,6 +184,50 @@ fn parse_binary_parallel(buf: &[u8], threads: usize) -> Result<TelemetryLog> {
     Ok(merged)
 }
 
+/// Newline-aligned chunk plan: `buf` cut into at most `threads` chunks at
+/// line boundaries, each paired with its first line's 1-based number (one
+/// past the newlines before it).
+fn ndjson_chunks(buf: &[u8], threads: usize) -> Vec<(usize, &[u8])> {
+    let mut bounds = vec![0usize];
+    for t in 1..threads {
+        let target = buf.len() * t / threads;
+        let cut = split_at_newline(buf, target).max(*bounds.last().expect("non-empty"));
+        if cut > *bounds.last().expect("non-empty") {
+            bounds.push(cut);
+        }
+    }
+    bounds.push(buf.len());
+    let mut first_line = 1usize;
+    bounds
+        .windows(2)
+        .map(|w| {
+            let chunk = &buf[w[0]..w[1]];
+            let entry = (first_line, chunk);
+            first_line += chunk.iter().filter(|&&b| b == b'\n').count();
+            entry
+        })
+        .collect()
+}
+
+/// Run `work` on every item, one scoped thread per item, returning the
+/// results in item order (so a byte-order merge sees chunks in byte order).
+fn fan_out<I: Send, R: Send>(
+    items: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || work(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("ingest parse worker panicked"))
+            .collect()
+    })
+}
+
 /// What one firehose ingest did, end to end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReport {
@@ -236,8 +239,7 @@ pub struct IngestReport {
     pub unrouted_jobs: usize,
     /// Records evicted by the standard window policy during the observe.
     pub evicted_jobs: usize,
-    /// Shards whose observe round was lost to an isolated failure (always 0
-    /// on the strict path, which propagates shard errors instead).
+    /// Shards whose observe round was lost to an isolated failure.
     pub failed_shards: usize,
     /// Parse worker threads requested.
     pub threads: usize,
@@ -264,7 +266,7 @@ pub fn ingest_firehose(
     })
 }
 
-/// How the resilient parse handles bad records.
+/// How the quarantine parse handles bad records.
 ///
 /// The strict path ([`parse_telemetry`]) aborts on the first malformed record
 /// — correct for trusted dumps, wrong for a live firehose where one poisoned
@@ -420,77 +422,36 @@ type ChunkOutcome = (
 /// Parse a telemetry buffer with per-record quarantine instead of first-error
 /// abort.
 ///
-/// Malformed records (and records the [`FaultPlan`] poisons) land in the
-/// returned [`QuarantineLog`]; day-order regressions are fenced at the serial
-/// merge, quarantining the regressing record rather than failing the parse.
-/// The kept log and the quarantine set are **bit-identical for any `threads`**
-/// under the same buffer, policy, and fault plan.  The only hard failures
-/// left are unrecoverable ones: broken binary framing (no boundary to resync
-/// on) and a blown error budget.
+/// Malformed records (and records the instruments' [`FaultPlan`] poisons) land
+/// in the returned [`QuarantineLog`]; day-order regressions are fenced at the
+/// serial merge, quarantining the regressing record rather than failing the
+/// parse.  The kept log and the quarantine set are **bit-identical for any
+/// `threads`** under the same buffer, policy, and fault plan.  The only hard
+/// failures left are unrecoverable ones: broken binary framing (no boundary
+/// to resync on) and a blown error budget.
+///
+/// With an observability handle in `instruments`, every refused record also
+/// emits a [`TraceEvent::Quarantine`] (sequenced by its absolute record
+/// number, so the event multiset is thread-count-invariant) and the
+/// `ingest.kept_records` / `ingest.quarantined_records` counters are bumped.
+/// To feed a fleet, pass its router's instruments and hand the kept log to
+/// [`ShardedFeedbackLoop::observe`].
 pub fn parse_telemetry_quarantine(
     buf: &[u8],
     format: WireFormat,
     threads: usize,
     policy: &QuarantinePolicy,
-    faults: Option<&FaultPlan>,
+    instruments: &Instruments,
 ) -> Result<(TelemetryLog, QuarantineLog)> {
-    parse_telemetry_quarantine_obs(buf, format, threads, policy, faults, None)
-}
-
-/// [`parse_telemetry_quarantine`] with an observability seam: every refused
-/// record additionally emits a [`TraceEvent::Quarantine`] (sequenced by its
-/// absolute record number, so the event multiset is thread-count-invariant)
-/// and the `ingest.kept_records` / `ingest.quarantined_records` counters are
-/// bumped.  `obs: None` is byte-for-byte the plain path.
-pub fn parse_telemetry_quarantine_obs(
-    buf: &[u8],
-    format: WireFormat,
-    threads: usize,
-    policy: &QuarantinePolicy,
-    faults: Option<&FaultPlan>,
-    obs: Option<&Obs>,
-) -> Result<(TelemetryLog, QuarantineLog)> {
+    let faults = instruments.faults.as_deref();
     let outcomes: Vec<ChunkOutcome> = match format {
         WireFormat::Ndjson => {
-            let threads = threads
-                .max(1)
-                .min(buf.len() / MIN_CHUNK_BYTES.max(1))
-                .max(1);
+            let threads = threads.max(1).min(buf.len() / MIN_CHUNK_BYTES.max(1));
             if threads <= 1 {
                 vec![quarantine_ndjson_chunk(buf, 1, faults)]
             } else {
-                let mut bounds = vec![0usize];
-                for t in 1..threads {
-                    let target = buf.len() * t / threads;
-                    let cut = split_at_newline(buf, target).max(*bounds.last().expect("non-empty"));
-                    if cut > *bounds.last().expect("non-empty") {
-                        bounds.push(cut);
-                    }
-                }
-                bounds.push(buf.len());
-                let chunks: Vec<(usize, &[u8])> = {
-                    let mut first_line = 1usize;
-                    bounds
-                        .windows(2)
-                        .map(|w| {
-                            let chunk = &buf[w[0]..w[1]];
-                            let entry = (first_line, chunk);
-                            first_line += chunk.iter().filter(|&&b| b == b'\n').count();
-                            entry
-                        })
-                        .collect()
-                };
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|&(first_line, chunk)| {
-                            scope.spawn(move || quarantine_ndjson_chunk(chunk, first_line, faults))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("ingest parse worker panicked"))
-                        .collect()
+                fan_out(ndjson_chunks(buf, threads), |(first_line, chunk)| {
+                    quarantine_ndjson_chunk(chunk, first_line, faults)
                 })
             }
         }
@@ -501,18 +462,8 @@ pub fn parse_telemetry_quarantine_obs(
             if threads <= 1 {
                 vec![quarantine_binary_chunk(&payloads, 0, faults)]
             } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = payloads
-                        .chunks(per)
-                        .enumerate()
-                        .map(|(i, range)| {
-                            scope.spawn(move || quarantine_binary_chunk(range, i * per, faults))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("ingest parse worker panicked"))
-                        .collect()
+                fan_out(payloads.chunks(per).enumerate(), |(i, range)| {
+                    quarantine_binary_chunk(range, i * per, faults)
                 })
             }
         }
@@ -544,7 +495,7 @@ pub fn parse_telemetry_quarantine_obs(
     }
     quarantined.sort_by_key(|q| q.record);
 
-    if let Some(obs) = obs {
+    if let Some(obs) = &instruments.obs {
         // One event per refused record (before `max_kept` truncation — the
         // trace sees everything the budget counted), plus the aggregate
         // counters.  Emitted from the serial merge, so the stream is ordered
@@ -580,36 +531,6 @@ pub fn parse_telemetry_quarantine_obs(
     };
     log.kept.truncate(policy.max_kept);
     Ok((TelemetryLog::from_jobs(kept), log))
-}
-
-/// The firehose path with quarantine: resilient parse, then observe, with
-/// per-shard failures reported rather than propagated.  Quarantine trace
-/// events and ingest counters flow into the fleet router's observability
-/// handle when one is attached (see `ClusterRouter::with_obs`).
-pub fn ingest_firehose_resilient(
-    fleet: &mut ShardedFeedbackLoop,
-    buf: &[u8],
-    format: WireFormat,
-    threads: usize,
-    policy: &QuarantinePolicy,
-    faults: Option<&FaultPlan>,
-) -> Result<(IngestReport, QuarantineLog)> {
-    let obs = fleet.router().obs().cloned();
-    let (log, quarantine) =
-        parse_telemetry_quarantine_obs(buf, format, threads, policy, faults, obs.as_deref())?;
-    let parsed_jobs = log.len();
-    let observed = fleet.observe(log)?;
-    Ok((
-        IngestReport {
-            parsed_jobs,
-            accepted_jobs: observed.accepted_jobs,
-            unrouted_jobs: observed.unrouted_jobs,
-            evicted_jobs: observed.evicted_jobs,
-            failed_shards: observed.failed_shards,
-            threads,
-        },
-        quarantine,
-    ))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!
 //! The predictor is held behind an [`Arc`], so one trained model version can be
 //! shared by many concurrent optimizations (see [`crate::registry`]).  A
-//! signature-keyed [`PredictionCache`] memoises combined predictions: recurring jobs
+//! signature-keyed `PredictionCache` memoises combined predictions: recurring jobs
 //! re-optimized across feedback epochs present the same `(signature, feature)` pairs
 //! again and again, and a cache hit skips every per-family model lookup and the
 //! FastTree ensemble walk.
@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cleo_common::concurrency::StripedCounter;
+use cleo_common::concurrency::{lock_unpoisoned, StripedCounter};
 use cleo_common::hash::StableHasher;
 use cleo_engine::physical::{JobMeta, PhysicalNode};
 use cleo_optimizer::{CostModel, SweepSpec};
@@ -104,11 +104,8 @@ struct PredictionCache {
     /// the per-shard mutexes are held for nanoseconds even on hot sweeps.
     shards: Vec<Mutex<HashMap<u64, Arc<[f64]>>>>,
     per_shard_capacity: usize,
-    /// Arc-held so a metrics registry can adopt the very counters the cache
-    /// increments (single source of truth — see
-    /// [`LearnedCostModel::register_metrics`]).
-    hits: Arc<StripedCounter>,
-    misses: Arc<StripedCounter>,
+    hits: StripedCounter,
+    misses: StripedCounter,
 }
 
 impl PredictionCache {
@@ -119,8 +116,8 @@ impl PredictionCache {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             per_shard_capacity: capacity.div_ceil(shard_count).max(1),
-            hits: Arc::new(StripedCounter::new()),
-            misses: Arc::new(StripedCounter::new()),
+            hits: StripedCounter::new(),
+            misses: StripedCounter::new(),
         }
     }
 
@@ -133,12 +130,7 @@ impl PredictionCache {
     }
 
     fn get(&self, key: u64) -> Option<Arc<[f64]>> {
-        let found = self
-            .shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(&key)
-            .cloned();
+        let found = lock_unpoisoned(self.shard(key)).get(&key).cloned();
         match found {
             Some(_) => self.hits.add(1),
             None => self.misses.add(1),
@@ -147,7 +139,7 @@ impl PredictionCache {
     }
 
     fn insert(&self, key: u64, costs: Arc<[f64]>) {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let mut shard = lock_unpoisoned(self.shard(key));
         if shard.len() >= self.per_shard_capacity {
             shard.clear();
         }
@@ -163,7 +155,7 @@ impl PredictionCache {
 
     fn reset(&self) {
         for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
+            lock_unpoisoned(shard).clear();
         }
         self.hits.reset();
         self.misses.reset();
@@ -216,9 +208,8 @@ pub struct LearnedCostModel {
     /// analysis).  Striped: the count is bumped on *every* cost evaluation, so
     /// a single shared atomic would be the hottest cacheline in a concurrent
     /// serve — each thread increments its own stripe instead and totals are
-    /// summed on read.  Arc-held so a metrics registry can adopt it (see
-    /// [`LearnedCostModel::register_metrics`]).
-    invocations: Arc<StripedCounter>,
+    /// summed on read.
+    invocations: StripedCounter,
     /// Signature-keyed memo of combined predictions (`None` = caching disabled).
     /// Behind an [`Arc`] so a delta-published successor model can keep serving
     /// the incumbent's warm entries (keys are salted with per-signature model
@@ -238,7 +229,7 @@ impl LearnedCostModel {
     pub fn with_cache_capacity(predictor: impl Into<Arc<CleoPredictor>>, capacity: usize) -> Self {
         LearnedCostModel {
             predictor: predictor.into(),
-            invocations: Arc::new(StripedCounter::new()),
+            invocations: StripedCounter::new(),
             cache: (capacity > 0).then(|| Arc::new(PredictionCache::new(capacity))),
         }
     }
@@ -258,7 +249,7 @@ impl LearnedCostModel {
     pub fn delta_successor(&self, predictor: impl Into<Arc<CleoPredictor>>) -> LearnedCostModel {
         LearnedCostModel {
             predictor: predictor.into(),
-            invocations: Arc::new(StripedCounter::new()),
+            invocations: StripedCounter::new(),
             cache: self.cache.clone(),
         }
     }
@@ -269,19 +260,6 @@ impl LearnedCostModel {
         match (&self.cache, &other.cache) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
-        }
-    }
-
-    /// Adopt this model's live counters into a metrics registry under
-    /// `{prefix}.invocations`, `{prefix}.cache_hits`, `{prefix}.cache_misses`.
-    /// The registry snapshots the *same* stripes the hot path increments —
-    /// no duplicated accounting, no extra work per cost evaluation.  Cache
-    /// counters are skipped when caching is disabled.
-    pub fn register_metrics(&self, metrics: &cleo_common::obs::MetricsRegistry, prefix: &str) {
-        metrics.register_counter(&format!("{prefix}.invocations"), &self.invocations);
-        if let Some(cache) = &self.cache {
-            metrics.register_counter(&format!("{prefix}.cache_hits"), &cache.hits);
-            metrics.register_counter(&format!("{prefix}.cache_misses"), &cache.misses);
         }
     }
 
@@ -665,5 +643,30 @@ mod tests {
         // The implied optimum should be in a plausible mid range, not 1 or max.
         let optimum = (theta_p / theta_c).sqrt();
         assert!(optimum > 2.0 && optimum < 2500.0, "optimum {optimum}");
+    }
+
+    #[test]
+    fn a_poisoned_cache_stripe_keeps_serving() {
+        let cache = PredictionCache::new(64);
+        let key = 42u64;
+        cache.insert(key, Arc::from(vec![1.0, 2.0]));
+        // A thread panics while holding the key's stripe lock.
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _stripe = cache.shard(key).lock();
+                    panic!("poison the cache stripe");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(cache.shard(key).is_poisoned());
+        // Entries survive, lookups and inserts keep working.
+        assert_eq!(cache.get(key).as_deref(), Some(&[1.0, 2.0][..]));
+        cache.insert(key, Arc::from(vec![3.0]));
+        assert_eq!(cache.get(key).as_deref(), Some(&[3.0][..]));
+        assert_eq!(cache.get(key + 1), None);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 }

@@ -94,8 +94,8 @@ pub use feedback::{
     DeltaDecision, DeltaOutcome, FeedbackConfig, PublishDecision, RetrainOutcome, WindowEviction,
 };
 pub use ingest::{
-    ingest_firehose, ingest_firehose_resilient, parse_telemetry, parse_telemetry_quarantine,
-    IngestReport, QuarantineLog, QuarantinePolicy, QuarantinedRecord, WireFormat,
+    ingest_firehose, parse_telemetry, parse_telemetry_quarantine, IngestReport, QuarantineLog,
+    QuarantinePolicy, QuarantinedRecord, WireFormat,
 };
 pub use integration::{CacheStats, LearnedCostModel};
 pub use models::{

@@ -15,7 +15,7 @@
 //! (version 0) until a shard's first publish and after a full rollback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use cleo_common::obs::{Obs, PublishKind, TraceEvent};
 use cleo_common::{CleoError, Result};
@@ -256,10 +256,10 @@ pub struct ModelRegistry {
     /// Next version to assign (versions start at 1).
     next_version: AtomicU64,
     /// Observability binding: the handle plus the cluster label publish /
-    /// rollback events carry ([`cleo_common::obs::NO_CLUSTER`] for unsharded
-    /// registries).  `None` (production default) emits nothing; the serving
-    /// hot path (`current` / `current_version`) never touches this.
-    obs: Mutex<Option<(Arc<Obs>, u16)>>,
+    /// rollback events carry.  Set at most once, by the cluster router that
+    /// owns the shard; unset (the default) emits nothing.  The serving hot
+    /// path (`current` / `current_version`) never touches this.
+    obs: OnceLock<(Arc<Obs>, u16)>,
 }
 
 impl Default for ModelRegistry {
@@ -278,28 +278,28 @@ impl ModelRegistry {
             history: Mutex::new(RegistryHistory::default()),
             served_version: AtomicU64::new(0),
             next_version: AtomicU64::new(1),
-            obs: Mutex::new(None),
+            obs: OnceLock::new(),
         }
     }
 
-    /// Attach an observability handle: publishes, delta publishes, and
-    /// rollbacks emit [`TraceEvent::Publish`] events labelled with `cluster`
-    /// (pass [`cleo_common::obs::NO_CLUSTER`] for unsharded registries).
+    /// Bind an observability handle: publishes, delta publishes, and
+    /// rollbacks emit [`TraceEvent::Publish`] events labelled with `cluster`.
     /// Event sequence numbers are registry versions, so traces are
-    /// deterministic for any thread count.
-    pub fn attach_obs(&self, obs: Arc<Obs>, cluster: u16) {
-        *self.obs.lock().expect("registry obs poisoned") = Some((obs, cluster));
+    /// deterministic for any thread count.  The first binding wins; the
+    /// cluster router makes it when it is instrumented.
+    pub(crate) fn bind_obs(&self, obs: &Arc<Obs>, cluster: u16) {
+        let _ = self.obs.set((Arc::clone(obs), cluster));
     }
 
-    /// The attached observability binding, if any (for sibling modules that
-    /// emit registry-labelled events, e.g. the publish watchdog).
-    pub(crate) fn obs_binding(&self) -> Option<(Arc<Obs>, u16)> {
-        self.obs.lock().expect("registry obs poisoned").clone()
+    /// The bound observability handle and cluster label, if any (for sibling
+    /// modules that emit registry-labelled events, e.g. the publish watchdog).
+    pub(crate) fn obs_binding(&self) -> Option<&(Arc<Obs>, u16)> {
+        self.obs.get()
     }
 
-    /// Emit one publish-lineage event through the attached binding, if any.
+    /// Emit one publish-lineage event through the bound handle, if any.
     fn emit_publish(&self, seq: u64, lineage: PublishKind, version: u64) {
-        if let Some((obs, cluster)) = self.obs_binding() {
+        if let Some(&(ref obs, cluster)) = self.obs_binding() {
             obs.emit(TraceEvent::Publish {
                 seq,
                 cluster,

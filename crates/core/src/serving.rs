@@ -300,19 +300,20 @@ pub struct FrontDoor {
     stats: FrontDoorStats,
     /// Per-shard queue-depth high-water marks (admission-time backlog).
     high_water: Vec<usize>,
-    /// Observability seam, inherited from the pool's [`SharedOptimizer`]
+    /// Observability handle, from the pool's [`SharedOptimizer`] instruments
     /// (`None` = production path, no events, no metrics).
     obs: Option<Arc<Obs>>,
 }
 
 impl FrontDoor {
-    /// A front door over a pool.  The front door inherits the pool's
-    /// observability handle (see `SharedOptimizer::with_obs`), so admission
+    /// A front door over a pool.  The front door reads the observability
+    /// handle from the pool's instruments (see
+    /// [`crate::sharding::ClusterRouter::with_instruments`]), so admission
     /// and batch-formation events flow into the same registry as the pool's
     /// worker counters.
     pub fn new(pool: Arc<ServingPool>, config: FrontDoorConfig) -> Self {
         let shards = pool.shard_count();
-        let obs = pool.shared().obs().cloned();
+        let obs = pool.shared().instruments().obs.clone();
         FrontDoor {
             pool,
             config,

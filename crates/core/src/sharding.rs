@@ -27,14 +27,14 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cleo_common::concurrency::StripedCounter;
+use cleo_common::concurrency::{lock_unpoisoned, StripedCounter};
 use cleo_common::fault::{FaultPlan, FaultSite};
-use cleo_common::obs::{self, Obs, TraceEvent};
-use cleo_common::{CleoError, Result};
+use cleo_common::obs::{self, TraceEvent};
+use cleo_common::{CleoError, Instruments, Result};
 use cleo_engine::exec::Simulator;
 use cleo_engine::physical::JobMeta;
 use cleo_engine::telemetry::{JobTelemetry, TelemetryLog, WindowMoments};
@@ -50,17 +50,6 @@ use crate::feedback::{
     RetrainOutcome, WindowEviction,
 };
 use crate::registry::ModelRegistry;
-
-/// Lock a mutex, recovering the data if a panicking holder poisoned it.
-///
-/// All the mutexes in this module guard data that stays consistent under
-/// panic (queues of whole tasks, counters, a wake generation), so a poisoned
-/// lock carries no torn state — and the graceful-degradation machinery must
-/// keep completing tickets *after* a worker panic, which is exactly when the
-/// standard `expect` would cascade.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Best-effort text of a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -230,7 +219,7 @@ impl ShardedRegistry {
 /// job bumps exactly one of these, so shared atomics would put one hot
 /// cacheline between all serving threads; stripes keep the increments local
 /// and the totals exact once serving quiesces (the only time they are read).
-/// `Arc`-held so [`ClusterRouter::with_obs`] can register the *same* counters
+/// `Arc`-held so [`ClusterRouter::with_instruments`] can register the *same* counters
 /// into the metrics registry — one source of truth, two readers.
 #[derive(Debug, Default)]
 struct RoutingStats {
@@ -382,8 +371,9 @@ pub struct ClusterRouter {
     /// Bumped on every breaker transition; folded into route stamps so
     /// worker-local snapshot caches revalidate when routing flips.
     breaker_epoch: AtomicU64,
-    /// Observability handle (`None` in production: one branch per route).
-    obs: Option<Arc<Obs>>,
+    /// Observability and fault injection for the whole stack built over
+    /// this router (quiet in production: one branch per route).
+    instruments: Instruments,
 }
 
 impl ClusterRouter {
@@ -439,7 +429,7 @@ impl ClusterRouter {
             }),
             breaker_states: (0..shard_count).map(|_| AtomicU8::new(0)).collect(),
             breaker_epoch: AtomicU64::new(0),
-            obs: None,
+            instruments: Instruments::default(),
         }
     }
 
@@ -490,40 +480,36 @@ impl ClusterRouter {
         self.stats.fallback.reset();
     }
 
-    /// Attach an observability handle: the routing counters register into the
-    /// metrics registry (`router.own_hits` / `router.donor_hits` /
+    /// Instrument the stack built over this router — the one place a
+    /// stack's observability handle and fault plan are fixed.  With an
+    /// [`cleo_common::Obs`], the routing counters register into its metrics
+    /// registry (`router.own_hits` / `router.donor_hits` /
     /// `router.fallback_hits` — the same striped counters
     /// [`ClusterRouter::routing_stats`] reads), route resolutions and breaker
-    /// transitions emit trace events, and every registry shard is bound so
-    /// its publishes and rollbacks trace with their cluster label.  `None`
-    /// (the default) is the zero-cost production path.
-    pub fn with_obs(mut self, obs: Option<Arc<Obs>>) -> Self {
-        if let Some(obs) = &obs {
+    /// transitions emit trace events, and every registry shard is bound so its
+    /// publishes and rollbacks trace with their cluster label.  Serving
+    /// optimizers, pools, front doors and feedback loops built over the router
+    /// read the same instruments through [`CostModelProvider::instruments`].
+    /// The default is quiet, the zero-cost production path.
+    pub fn with_instruments(mut self, instruments: Instruments) -> Self {
+        if let Some(obs) = &instruments.obs {
             let metrics = obs.metrics();
             metrics.register_counter("router.own_hits", &self.stats.own);
             metrics.register_counter("router.donor_hits", &self.stats.donor);
             metrics.register_counter("router.fallback_hits", &self.stats.fallback);
             for shard in self.registry.shards() {
-                shard
-                    .registry
-                    .attach_obs(Arc::clone(obs), u16::from(shard.cluster.0));
+                shard.registry.bind_obs(obs, u16::from(shard.cluster.0));
             }
         }
-        self.obs = obs;
+        self.instruments = instruments;
         self
-    }
-
-    /// The observability handle routing/breaker events flow into (`None` in
-    /// production).
-    pub fn obs(&self) -> Option<&Arc<Obs>> {
-        self.obs.as_ref()
     }
 
     /// Emit one route-resolution event (`seq` = job id, deterministic for any
     /// worker count) when an observability handle is attached.
     #[inline]
     fn emit_route(&self, meta: &JobMeta, outcome: obs::RouteKind, version: u64) {
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.instruments.obs {
             obs.emit(TraceEvent::Route {
                 seq: meta.id.0,
                 cluster: u16::from(meta.cluster.0),
@@ -573,7 +559,7 @@ impl ClusterRouter {
             outcome_index: core.outcomes_folded,
             state,
         });
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.instruments.obs {
             // seq = the fold's outcome index: the same deterministic clock the
             // transition log keeps, so traces match for any worker count.
             obs.emit(TraceEvent::Breaker {
@@ -790,6 +776,10 @@ impl CostModelProvider for ClusterRouter {
             }
         }
     }
+
+    fn instruments(&self) -> &Instruments {
+        &self.instruments
+    }
 }
 
 /// One queued batch: the jobs plus the ticket its results are delivered on.
@@ -825,7 +815,8 @@ struct PoolShared {
     wake: Condvar,
     paused: AtomicBool,
     shutdown: AtomicBool,
-    /// Fault-injection schedule (`None` in production: one branch per task).
+    /// Fault-injection schedule, from the serving optimizer's instruments
+    /// (`None` in production: one branch per task).
     faults: Option<Arc<FaultPlan>>,
     /// Next submission sequence (task identities are contiguous from 0).
     task_seq: AtomicU64,
@@ -980,21 +971,13 @@ pub struct ServingPool {
 
 impl ServingPool {
     /// Spawn a pool of `workers` threads over `shard_count` admission queues
-    /// (both floored at 1), serving through `shared`.
+    /// (both floored at 1), serving through `shared`.  The pool takes its
+    /// instruments from `shared`: with an observability handle its worker
+    /// counters register as `pool.*` metrics, and a fault plan injects worker
+    /// panics and stalls keyed on each task's submission sequence.
     pub fn new(shared: SharedOptimizer, shard_count: usize, workers: usize) -> Self {
-        Self::with_faults(shared, shard_count, workers, None)
-    }
-
-    /// [`ServingPool::new`] with a fault-injection schedule.  `None` is the
-    /// production path (bit-identical to [`ServingPool::new`]); a plan injects
-    /// worker panics and stalls keyed on each task's submission sequence.
-    pub fn with_faults(
-        shared: SharedOptimizer,
-        shard_count: usize,
-        workers: usize,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
         let shard_count = shard_count.max(1);
+        let Instruments { obs, faults } = shared.instruments().clone();
         let inner = Arc::new(PoolShared {
             shards: (0..shard_count)
                 .map(|_| ShardQueue {
@@ -1015,7 +998,7 @@ impl ServingPool {
             respawned: Mutex::new(Vec::new()),
             shared,
         });
-        if let Some(obs) = inner.shared.obs() {
+        if let Some(obs) = obs {
             let metrics = obs.metrics();
             metrics.register_counter("pool.worker_panics", &inner.panics);
             metrics.register_counter("pool.requeued_tasks", &inner.requeues);
@@ -1585,8 +1568,6 @@ pub struct ShardedFeedbackLoop {
     simulator: Simulator,
     shards: Vec<ShardState>,
     epoch: u32,
-    /// Fault-injection schedule for shard rounds (`None` in production).
-    faults: Option<Arc<FaultPlan>>,
 }
 
 impl ShardedFeedbackLoop {
@@ -1614,14 +1595,7 @@ impl ShardedFeedbackLoop {
             simulator,
             shards,
             epoch: 0,
-            faults: None,
         }
-    }
-
-    /// Install (or clear) a fault-injection schedule for subsequent epoch and
-    /// delta rounds.  `None` is the production path.
-    pub fn set_fault_plan(&mut self, faults: Option<Arc<FaultPlan>>) {
-        self.faults = faults;
     }
 
     /// The router the loop serves through (shared with external serving paths,
@@ -1701,7 +1675,7 @@ impl ShardedFeedbackLoop {
         // `failed` and its incumbent keeps serving.
         let config = self.config;
         let fallback = Arc::clone(self.router.fallback_model());
-        let faults = self.faults.clone();
+        let faults = self.router.instruments().faults.clone();
         let (shards, failed) = self.run_shard_rounds(served.ingest, |state, log| {
             run_shard_epoch(state, log, &config, epoch, &fallback, faults.as_deref())
         });
@@ -1730,7 +1704,7 @@ impl ShardedFeedbackLoop {
         let served = self.serve_and_partition(jobs, epoch)?;
 
         let config = self.config;
-        let faults = self.faults.clone();
+        let faults = self.router.instruments().faults.clone();
         let (shards, failed) = self.run_shard_rounds(served.ingest, |state, log| {
             run_shard_delta(state, log, &config, epoch, faults.as_deref())
         });
@@ -2050,7 +2024,7 @@ fn run_publish_watchdog(
             if baseline_version != served_version
                 && live_error_pct > baseline_error_pct + policy.max_error_regression_pct =>
         {
-            if let Some((obs, cluster)) = state.registry.obs_binding() {
+            if let Some(&(ref obs, cluster)) = state.registry.obs_binding() {
                 obs.emit(TraceEvent::Watchdog {
                     seq: obs_seq,
                     cluster,
@@ -2068,7 +2042,7 @@ fn run_publish_watchdog(
         }
         _ => {
             state.live_baseline = Some((served_version, live_error_pct));
-            if let Some((obs, cluster)) = state.registry.obs_binding() {
+            if let Some(&(ref obs, cluster)) = state.registry.obs_binding() {
                 obs.emit(TraceEvent::Watchdog {
                     seq: obs_seq,
                     cluster,

@@ -25,11 +25,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cleo_common::fault::FaultPlan;
-use cleo_common::CleoError;
+use cleo_common::{CleoError, Instruments};
 use cleo_core::feedback::{FeedbackConfig, WindowEviction};
 use cleo_core::ingest::{
-    ingest_firehose_resilient, parse_telemetry, parse_telemetry_quarantine, QuarantinePolicy,
-    WireFormat,
+    parse_telemetry, parse_telemetry_quarantine, QuarantinePolicy, WireFormat,
 };
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::registry::HoldoutMetrics;
@@ -152,12 +151,13 @@ fn failing_job(id: u64, cluster: u8) -> Arc<JobSpec> {
     })
 }
 
-fn warm_router_with(policy: Option<BreakerPolicy>) -> Arc<ClusterRouter> {
+fn warm_router_with(policy: Option<BreakerPolicy>, plan: Option<FaultPlan>) -> Arc<ClusterRouter> {
     let registry = Arc::new(ShardedRegistry::new((0u8..4).map(ClusterId)));
     let mut router = ClusterRouter::with_uniform_similarity(
         registry,
         Arc::new(HeuristicCostModel::default_model()),
-    );
+    )
+    .with_instruments(plan.map_or_else(Instruments::default, Instruments::faulted));
     if let Some(policy) = policy {
         router = router.with_breaker_policy(policy);
     }
@@ -245,7 +245,6 @@ fn watchdog_fleet_config(watchdog: WatchdogPolicy) -> ShardedFeedbackConfig {
 
 #[test]
 fn worker_panics_requeue_once_then_error_and_pool_recovers() {
-    let router = warm_router_with(None);
     // Every task with seq < 4 panics its worker — on the requeued attempt
     // too, because injection keys on the task sequence, not the attempt.
     let plan = FaultPlan {
@@ -253,7 +252,8 @@ fn worker_panics_requeue_once_then_error_and_pool_recovers() {
         horizon: 4,
         ..FaultPlan::quiet(9)
     };
-    let pool = ServingPool::with_faults(shared_over(&router), 1, 2, plan.handle());
+    let router = warm_router_with(None, Some(plan));
+    let pool = ServingPool::new(shared_over(&router), 1, 2);
 
     let tickets: Vec<_> = (0..8)
         .map(|i| pool.submit(0, vec![job(100 + i, 0)]))
@@ -323,7 +323,7 @@ fn wait_until(done: impl Fn() -> bool) {
 
 #[test]
 fn ticket_wait_timeout_expires_then_delivers() {
-    let router = warm_router_with(None);
+    let router = warm_router_with(None, None);
     let pool = ServingPool::new(shared_over(&router), 1, 2);
     pool.pause();
     let ticket = pool.submit(0, vec![job(300, 0)]);
@@ -347,7 +347,7 @@ fn ticket_wait_timeout_expires_then_delivers() {
 
 #[test]
 fn front_door_deadline_expires_stalled_requests_with_exact_accounting() {
-    let router = warm_router_with(None);
+    let router = warm_router_with(None, None);
     let pool = Arc::new(ServingPool::new(shared_over(&router), 1, 2));
     pool.pause(); // nothing ever executes: every admitted request must expire
     let mut door = FrontDoor::new(
@@ -382,7 +382,6 @@ fn front_door_deadline_expires_stalled_requests_with_exact_accounting() {
 
 #[test]
 fn front_door_retry_recovers_a_transiently_dead_worker() {
-    let router = warm_router_with(None);
     // Only task seq 0 is cursed: it panics its worker on both attempts, so
     // the first submission error-completes.  The front door's retry resubmits
     // the request under a fresh sequence, which succeeds.
@@ -391,12 +390,8 @@ fn front_door_retry_recovers_a_transiently_dead_worker() {
         horizon: 1,
         ..FaultPlan::quiet(5)
     };
-    let pool = Arc::new(ServingPool::with_faults(
-        shared_over(&router),
-        1,
-        2,
-        plan.handle(),
-    ));
+    let router = warm_router_with(None, Some(plan));
+    let pool = Arc::new(ServingPool::new(shared_over(&router), 1, 2));
     let mut door = FrontDoor::new(
         Arc::clone(&pool),
         FrontDoorConfig {
@@ -433,7 +428,7 @@ fn breaker_trips_to_donor_then_recovers_half_open() {
         trip_after: 3,
         cooldown: 2,
     };
-    let router = warm_router_with(Some(policy));
+    let router = warm_router_with(Some(policy), None);
     let pool = ServingPool::new(shared_over(&router), 4, 1);
 
     // Three consecutive failures at cluster 0 trip its breaker open.
@@ -512,7 +507,7 @@ fn breaker_transitions_are_identical_for_1_vs_n_workers() {
             trip_after: 3,
             cooldown: 2,
         };
-        let router = warm_router_with(Some(policy));
+        let router = warm_router_with(Some(policy), None);
         let pool = ServingPool::new(shared_over(&router), 4, workers);
         // Twelve route-independent failures at cluster 0: trip, cool down,
         // half-open, failed probe, trip again… the fold is in submission
@@ -548,20 +543,19 @@ fn quarantine_set_is_bit_identical_across_thread_counts() {
     let log = sample_log(150);
     let text = write_ndjson(&log);
     let bytes = write_binary(&log);
-    let plan = FaultPlan {
+    let plan = Instruments::faulted(FaultPlan {
         poison_record_rate: 0.08,
         ..FaultPlan::quiet(42)
-    };
+    });
     let policy = QuarantinePolicy {
         error_budget: 0.5,
         ..QuarantinePolicy::default()
     };
 
     let (nd_1, nd_q1) =
-        parse_telemetry_quarantine(text.as_bytes(), WireFormat::Ndjson, 1, &policy, Some(&plan))
-            .unwrap();
+        parse_telemetry_quarantine(text.as_bytes(), WireFormat::Ndjson, 1, &policy, &plan).unwrap();
     let (bin_1, bin_q1) =
-        parse_telemetry_quarantine(&bytes, WireFormat::Binary, 1, &policy, Some(&plan)).unwrap();
+        parse_telemetry_quarantine(&bytes, WireFormat::Binary, 1, &policy, &plan).unwrap();
     assert!(
         nd_q1.total > 0,
         "the poison schedule must quarantine records"
@@ -578,13 +572,13 @@ fn quarantine_set_is_bit_identical_across_thread_counts() {
             WireFormat::Ndjson,
             threads,
             &policy,
-            Some(&plan),
+            &plan,
         )
         .unwrap();
         assert_eq!(nd_t, nd_1, "ndjson kept log x{threads}");
         assert_eq!(nd_qt, nd_q1, "ndjson quarantine set x{threads}");
         let (bin_t, bin_qt) =
-            parse_telemetry_quarantine(&bytes, WireFormat::Binary, threads, &policy, Some(&plan))
+            parse_telemetry_quarantine(&bytes, WireFormat::Binary, threads, &policy, &plan)
                 .unwrap();
         assert_eq!(bin_t, bin_1, "binary kept log x{threads}");
         assert_eq!(bin_qt, bin_q1, "binary quarantine set x{threads}");
@@ -613,8 +607,14 @@ fn quarantine_keeps_healthy_records_where_strict_parse_aborts() {
 
     // Resilient path: both bad lines quarantine, 118 healthy records survive.
     let policy = QuarantinePolicy::default();
-    let (kept, quarantine) =
-        parse_telemetry_quarantine(&corrupted, WireFormat::Ndjson, 4, &policy, None).unwrap();
+    let (kept, quarantine) = parse_telemetry_quarantine(
+        &corrupted,
+        WireFormat::Ndjson,
+        4,
+        &policy,
+        &Instruments::default(),
+    )
+    .unwrap();
     assert_eq!(kept.len(), 118);
     assert_eq!(quarantine.total, 2);
     let records: Vec<usize> = quarantine.kept.iter().map(|q| q.record).collect();
@@ -627,9 +627,14 @@ fn quarantine_keeps_healthy_records_where_strict_parse_aborts() {
     jobs[60].plan.meta.day = DayIndex(0);
     let regressed = write_ndjson(&TelemetryLog::from_jobs(jobs));
     assert!(parse_telemetry(regressed.as_bytes(), WireFormat::Ndjson, 4).is_err());
-    let (kept, quarantine) =
-        parse_telemetry_quarantine(regressed.as_bytes(), WireFormat::Ndjson, 4, &policy, None)
-            .unwrap();
+    let (kept, quarantine) = parse_telemetry_quarantine(
+        regressed.as_bytes(),
+        WireFormat::Ndjson,
+        4,
+        &policy,
+        &Instruments::default(),
+    )
+    .unwrap();
     assert_eq!(kept.len(), 119);
     assert!(kept.is_day_sorted());
     assert_eq!(quarantine.total, 1);
@@ -650,7 +655,7 @@ fn quarantine_error_budget_refuses_a_broken_feed() {
         WireFormat::Ndjson,
         4,
         &QuarantinePolicy::default(),
-        Some(&plan),
+        &Instruments::faulted(plan),
     )
     .unwrap_err();
     assert!(
@@ -663,18 +668,24 @@ fn quarantine_error_budget_refuses_a_broken_feed() {
 // Fleet-epoch fault isolation and the publish watchdog.
 // ---------------------------------------------------------------------------
 
+/// A fleet over one shard per workload, its router instrumented with `plan`
+/// for the fleet's whole life (the plans below window themselves).
 fn fleet_over(
     workloads: &[cleo_engine::workload::generator::GeneratedWorkload],
     config: ShardedFeedbackConfig,
+    plan: Option<FaultPlan>,
 ) -> ShardedFeedbackLoop {
     use cleo_engine::workload::generator::WorkloadProfile;
     let profiles: Vec<WorkloadProfile> = workloads.iter().map(WorkloadProfile::of).collect();
     let registry = Arc::new(ShardedRegistry::new(workloads.iter().map(|w| w.cluster)));
-    let router = Arc::new(ClusterRouter::new(
-        registry,
-        Arc::new(HeuristicCostModel::default_model()),
-        &profiles,
-    ));
+    let router = Arc::new(
+        ClusterRouter::new(
+            registry,
+            Arc::new(HeuristicCostModel::default_model()),
+            &profiles,
+        )
+        .with_instruments(plan.map_or_else(Instruments::default, Instruments::faulted)),
+    );
     ShardedFeedbackLoop::new(config, Simulator::new(SimulatorConfig::default()), router)
 }
 
@@ -682,23 +693,20 @@ fn fleet_over(
 fn fleet_epoch_isolates_panicking_shards_and_recovers() {
     let workloads = generate_all_clusters(1, false);
     let stream: Vec<&JobSpec> = workloads.iter().flat_map(|w| w.jobs.iter()).collect();
+    // Epoch-1 rounds for clusters 0 and 1 panic (indices 256 and 257);
+    // clusters 2 and 3 (258, 259) are outside the window and publish.
     let mut fleet = fleet_over(
         &workloads,
         ShardedFeedbackConfig {
             shard_threads: 2,
             ..ShardedFeedbackConfig::default()
         },
-    );
-    // Epoch-1 rounds for clusters 0 and 1 panic (indices 256 and 257);
-    // clusters 2 and 3 (258, 259) are outside the window and publish.
-    fleet.set_fault_plan(
-        FaultPlan {
+        Some(FaultPlan {
             shard_round_panic_rate: 1.0,
             after: 1 << 8,
             horizon: (1 << 8) + 2,
             ..FaultPlan::quiet(3)
-        }
-        .handle(),
+        }),
     );
 
     let epoch1 = fleet.run_epoch(&stream).unwrap();
@@ -731,26 +739,24 @@ fn fleet_epoch_isolates_panicking_shards_and_recovers() {
 fn fleet_delta_round_isolates_a_corrupt_delta() {
     let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 1);
     let stream: Vec<&JobSpec> = workload.jobs.iter().collect();
+    // Delta rounds at epoch 1 for cluster 0 (index 256) are corrupted; the
+    // epoch itself only consults the shard-round panic site.
     let mut fleet = fleet_over(
         std::slice::from_ref(&workload),
         ShardedFeedbackConfig {
             shard_threads: 1,
             ..ShardedFeedbackConfig::default()
         },
-    );
-    fleet.run_epoch(&stream).unwrap();
-    assert_eq!(fleet.registry().shard_version(ClusterId(0)), 1);
-
-    // The delta round at epoch 1 for cluster 0 (index 256) is corrupted.
-    fleet.set_fault_plan(
-        FaultPlan {
+        Some(FaultPlan {
             corrupt_delta_rate: 1.0,
             after: 1 << 8,
             horizon: (1 << 8) + 1,
             ..FaultPlan::quiet(3)
-        }
-        .handle(),
+        }),
     );
+    fleet.run_epoch(&stream).unwrap();
+    assert_eq!(fleet.registry().shard_version(ClusterId(0)), 1);
+
     let round = fleet.run_delta_round(&stream).unwrap();
     assert_eq!(round.failed.len(), 1);
     assert_eq!(round.failed[0].cluster, ClusterId(0));
@@ -765,8 +771,9 @@ fn fleet_delta_round_isolates_a_corrupt_delta() {
     assert_eq!(round.jobs_run, stream.len());
     assert_eq!(fleet.registry().shard_version(ClusterId(0)), 1);
 
-    // With the schedule exhausted the next delta round completes normally.
-    fleet.set_fault_plan(None);
+    // Delta rounds keep the epoch's index, so the schedule is exhausted one
+    // full epoch later: the next delta round completes normally.
+    fleet.run_epoch(&stream).unwrap();
     let recovered = fleet.run_delta_round(&stream).unwrap();
     assert!(recovered.failed.is_empty());
     assert_eq!(recovered.shards.len(), 1);
@@ -776,12 +783,21 @@ fn fleet_delta_round_isolates_a_corrupt_delta() {
 fn watchdog_rolls_back_a_regressing_publish_during_an_epoch() {
     let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 1);
     let stream: Vec<&JobSpec> = workload.jobs.iter().collect();
+    // v2's measured live error is inflated by the fault plan (index =
+    // version 2 << 8 | cluster 0 = 512); v1's (index 256) is left alone.
     let mut fleet = fleet_over(
         std::slice::from_ref(&workload),
         watchdog_fleet_config(WatchdogPolicy {
             enabled: true,
             max_error_regression_pct: 10.0,
             min_samples: 8,
+        }),
+        Some(FaultPlan {
+            regressing_publish_rate: 1.0,
+            regression_multiplier: 1e6,
+            after: 2 << 8,
+            horizon: (2 << 8) + 1,
+            ..FaultPlan::quiet(3)
         }),
     );
 
@@ -801,19 +817,8 @@ fn watchdog_rolls_back_a_regressing_publish_during_an_epoch() {
     );
     assert_eq!(fleet.registry().shard_version(ClusterId(0)), 2);
 
-    // Epoch 3: v2's measured live error is inflated by the fault plan
-    // (index = version 2 << 8 | cluster 0 = 512) — the watchdog must roll the
-    // shard back to v1 before the round publishes anything new.
-    fleet.set_fault_plan(
-        FaultPlan {
-            regressing_publish_rate: 1.0,
-            regression_multiplier: 1e6,
-            after: 2 << 8,
-            horizon: (2 << 8) + 1,
-            ..FaultPlan::quiet(3)
-        }
-        .handle(),
-    );
+    // Epoch 3 measures v2, whose live error the plan inflates — the watchdog
+    // must roll the shard back to v1 before the round publishes anything new.
     let epoch3 = fleet.run_epoch(&stream).unwrap();
     let WatchdogVerdict::RolledBack {
         from_version,
@@ -832,12 +837,21 @@ fn watchdog_rolls_back_a_regressing_publish_during_an_epoch() {
 fn watchdog_rolls_back_during_a_delta_publish() {
     let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 1);
     let stream: Vec<&JobSpec> = workload.jobs.iter().collect();
+    // v2's measured live error is inflated by the fault plan (index =
+    // version 2 << 8 | cluster 0 = 512); v1's (index 256) is left alone.
     let mut fleet = fleet_over(
         std::slice::from_ref(&workload),
         watchdog_fleet_config(WatchdogPolicy {
             enabled: true,
             max_error_regression_pct: 10.0,
             min_samples: 8,
+        }),
+        Some(FaultPlan {
+            regressing_publish_rate: 1.0,
+            regression_multiplier: 1e6,
+            after: 2 << 8,
+            horizon: (2 << 8) + 1,
+            ..FaultPlan::quiet(3)
         }),
     );
     fleet.run_epoch(&stream).unwrap();
@@ -847,16 +861,6 @@ fn watchdog_rolls_back_during_a_delta_publish() {
     // A delta round while v2's live error regresses: the watchdog rolls back
     // to v1 first, and any delta this round publishes applies over v1 — not
     // over the version that was just rolled back.
-    fleet.set_fault_plan(
-        FaultPlan {
-            regressing_publish_rate: 1.0,
-            regression_multiplier: 1e6,
-            after: 2 << 8,
-            horizon: (2 << 8) + 1,
-            ..FaultPlan::quiet(3)
-        }
-        .handle(),
-    );
     let round = fleet.run_delta_round(&stream).unwrap();
     assert!(round.failed.is_empty());
     assert!(
@@ -952,22 +956,23 @@ fn quarantine_during_a_fleet_epoch_is_thread_invariant() {
         Vec<u64>,
     );
     let run = |parse_threads: usize, shard_threads: usize| -> FleetState {
-        let mut fleet = fleet_over(&workloads, fleet_config(shard_threads));
-        let (report, quarantine) = ingest_firehose_resilient(
-            &mut fleet,
+        let mut fleet = fleet_over(&workloads, fleet_config(shard_threads), Some(plan.clone()));
+        let (kept, quarantine) = parse_telemetry_quarantine(
             &bytes,
             WireFormat::Binary,
             parse_threads,
             &policy,
-            Some(&plan),
+            fleet.router().instruments(),
         )
         .unwrap();
+        let parsed_jobs = kept.len();
+        let observed = fleet.observe(kept).unwrap();
         assert!(
             quarantine.total > 0,
             "the poison schedule must fire mid-feed"
         );
-        assert_eq!(report.parsed_jobs + quarantine.total, 150);
-        assert_eq!(report.unrouted_jobs, 0, "all sample clusters have shards");
+        assert_eq!(parsed_jobs + quarantine.total, 150);
+        assert_eq!(observed.unrouted_jobs, 0, "all sample clusters have shards");
         let epoch = fleet.run_epoch(&stream).unwrap();
         assert!(epoch.failed.is_empty(), "{:?}", epoch.failed);
         assert_eq!(epoch.published_count(), 4);
@@ -979,11 +984,7 @@ fn quarantine_during_a_fleet_epoch_is_thread_invariant() {
         let (versions, bits) = state_of(&fleet);
         (
             q,
-            (
-                report.parsed_jobs,
-                report.accepted_jobs,
-                report.evicted_jobs,
-            ),
+            (parsed_jobs, observed.accepted_jobs, observed.evicted_jobs),
             versions,
             bits,
         )
@@ -1000,15 +1001,21 @@ fn quarantine_during_a_fleet_epoch_is_thread_invariant() {
 
     // Equivalence with the two-step path: quarantine-parse the same bytes,
     // observe the kept log, run the same epoch — identical end state.
-    let (kept, quarantine) =
-        parse_telemetry_quarantine(&bytes, WireFormat::Binary, 4, &policy, Some(&plan)).unwrap();
+    let (kept, quarantine) = parse_telemetry_quarantine(
+        &bytes,
+        WireFormat::Binary,
+        4,
+        &policy,
+        &Instruments::faulted(plan.clone()),
+    )
+    .unwrap();
     let two_step_q: Vec<(usize, String)> = quarantine
         .kept
         .iter()
         .map(|r| (r.record, r.msg.clone()))
         .collect();
     assert_eq!(two_step_q, baseline.0);
-    let mut fleet = fleet_over(&workloads, fleet_config(2));
+    let mut fleet = fleet_over(&workloads, fleet_config(2), None);
     let observed = fleet.observe(kept).unwrap();
     assert_eq!(observed.accepted_jobs, baseline.1 .1);
     let epoch = fleet.run_epoch(&stream).unwrap();
@@ -1022,11 +1029,11 @@ fn quarantine_during_a_fleet_epoch_is_thread_invariant() {
 
 #[test]
 fn quiet_plan_is_bit_identical_to_no_plan() {
-    let router = warm_router_with(None);
     let jobs: Vec<Arc<JobSpec>> = (0..24).map(|i| job(900 + i, (i % 4) as u8)).collect();
 
-    let run = |faults: Option<Arc<FaultPlan>>| -> Vec<(u64, u64, u64)> {
-        let pool = ServingPool::with_faults(shared_over(&router), 4, 3, faults);
+    let run = |plan: Option<FaultPlan>| -> Vec<(u64, u64, u64)> {
+        let router = warm_router_with(None, plan);
+        let pool = ServingPool::new(shared_over(&router), 4, 3);
         let tickets: Vec<_> = jobs
             .chunks(6)
             .enumerate()
@@ -1050,7 +1057,7 @@ fn quiet_plan_is_bit_identical_to_no_plan() {
         assert_eq!(pool.respawned_workers(), 0);
         results
     };
-    assert_eq!(run(None), run(FaultPlan::quiet(77).handle()));
+    assert_eq!(run(None), run(Some(FaultPlan::quiet(77))));
 
     // The resilient parse under no plan / a quiet plan keeps exactly what the
     // strict parser returns, with an empty quarantine.
@@ -1058,13 +1065,16 @@ fn quiet_plan_is_bit_identical_to_no_plan() {
     let text = write_ndjson(&log);
     let strict = parse_telemetry(text.as_bytes(), WireFormat::Ndjson, 4).unwrap();
     let policy = QuarantinePolicy::default();
-    for faults in [None, Some(FaultPlan::quiet(77))] {
+    for instruments in [
+        Instruments::default(),
+        Instruments::faulted(FaultPlan::quiet(77)),
+    ] {
         let (kept, quarantine) = parse_telemetry_quarantine(
             text.as_bytes(),
             WireFormat::Ndjson,
             4,
             &policy,
-            faults.as_ref(),
+            &instruments,
         )
         .unwrap();
         assert_eq!(kept, strict);
@@ -1075,15 +1085,15 @@ fn quiet_plan_is_bit_identical_to_no_plan() {
     // shard (wall-clock fields excluded).
     let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 1);
     let stream: Vec<&JobSpec> = workload.jobs.iter().collect();
-    let run_fleet = |faults: Option<Arc<FaultPlan>>| {
+    let run_fleet = |plan: Option<FaultPlan>| {
         let mut fleet = fleet_over(
             std::slice::from_ref(&workload),
             ShardedFeedbackConfig {
                 shard_threads: 1,
                 ..ShardedFeedbackConfig::default()
             },
+            plan,
         );
-        fleet.set_fault_plan(faults);
         let report = fleet.run_epoch(&stream).unwrap();
         assert!(report.failed.is_empty());
         let shard = report.shards[0];
@@ -1096,5 +1106,5 @@ fn quiet_plan_is_bit_identical_to_no_plan() {
             shard.watchdog,
         )
     };
-    assert_eq!(run_fleet(None), run_fleet(FaultPlan::quiet(77).handle()));
+    assert_eq!(run_fleet(None), run_fleet(Some(FaultPlan::quiet(77))));
 }

@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use cleo_common::fault::FaultPlan;
 use cleo_common::obs::{BreakerKind, Obs, PublishKind, RouteKind, TraceEvent};
-use cleo_core::ingest::{parse_telemetry_quarantine_obs, QuarantinePolicy, WireFormat};
+use cleo_common::Instruments;
+use cleo_core::ingest::{parse_telemetry_quarantine, QuarantinePolicy, WireFormat};
 use cleo_core::models::{CleoPredictor, CombinedModel, ModelStore, OperatorSample};
 use cleo_core::registry::HoldoutMetrics;
 use cleo_core::serving::{FrontDoor, FrontDoorConfig, OverloadPolicy};
@@ -131,9 +132,10 @@ fn failing_job(id: u64, cluster: u8) -> Arc<JobSpec> {
     })
 }
 
-/// A warm four-shard router with `obs` attached (publishes happen *before*
-/// the attach, so the trace starts at the serving scenario, not the warmup).
-fn warm_router(obs: Option<Arc<Obs>>) -> Arc<ClusterRouter> {
+/// A warm four-shard router with `instruments` (publishes happen *before*
+/// the router is built, so the trace starts at the serving scenario, not the
+/// warmup).
+fn warm_router(instruments: Instruments) -> Arc<ClusterRouter> {
     let registry = Arc::new(ShardedRegistry::new((0u8..4).map(ClusterId)));
     for c in 0u8..4 {
         registry.shard(ClusterId(c)).unwrap().publish(
@@ -147,16 +149,16 @@ fn warm_router(obs: Option<Arc<Obs>>) -> Arc<ClusterRouter> {
             registry,
             Arc::new(HeuristicCostModel::default_model()),
         )
-        .with_obs(obs),
+        .with_instruments(instruments),
     )
 }
 
-fn pool_over(router: &Arc<ClusterRouter>, workers: usize, obs: Option<Arc<Obs>>) -> ServingPool {
+/// A pool over `router`; it reads the router's instruments.
+fn pool_over(router: &Arc<ClusterRouter>, workers: usize) -> ServingPool {
     let shared = SharedOptimizer::new(
         Arc::clone(router) as Arc<dyn CostModelProvider>,
         OptimizerConfig::resource_aware(),
-    )
-    .with_obs(obs);
+    );
     ServingPool::new(shared, 4, workers)
 }
 
@@ -175,8 +177,8 @@ fn stream(n: usize) -> Vec<Arc<JobSpec>> {
 fn metric_totals_and_event_stream_are_identical_for_1_vs_n_workers() {
     let run = |workers: usize| -> (Vec<TraceEvent>, Vec<Option<u64>>, u64) {
         let obs = Arc::new(Obs::new());
-        let router = warm_router(Some(Arc::clone(&obs)));
-        let pool = Arc::new(pool_over(&router, workers, Some(Arc::clone(&obs))));
+        let router = warm_router(Instruments::observed(Arc::clone(&obs)));
+        let pool = Arc::new(pool_over(&router, workers));
         let mut door = FrontDoor::new(
             Arc::clone(&pool),
             FrontDoorConfig {
@@ -248,9 +250,9 @@ fn metric_totals_and_event_stream_are_identical_for_1_vs_n_workers() {
 
 #[test]
 fn obs_enabled_serving_is_bit_identical_to_disabled() {
-    let serve = |obs: Option<Arc<Obs>>| -> Vec<(u64, u64, Option<ClusterId>, u64)> {
-        let router = warm_router(obs.clone());
-        let pool = pool_over(&router, 2, obs);
+    let serve = |instruments: Instruments| -> Vec<(u64, u64, Option<ClusterId>, u64)> {
+        let router = warm_router(instruments);
+        let pool = pool_over(&router, 2);
         stream(32)
             .into_iter()
             .map(|request| {
@@ -268,8 +270,8 @@ fn obs_enabled_serving_is_bit_identical_to_disabled() {
             .collect()
     };
 
-    let disabled = serve(None);
-    let enabled = serve(Some(Arc::new(Obs::new())));
+    let disabled = serve(Instruments::default());
+    let enabled = serve(Instruments::observed(Arc::new(Obs::new())));
     assert_eq!(
         disabled, enabled,
         "an attached obs handle must not perturb a single served plan"
@@ -283,8 +285,8 @@ fn obs_enabled_serving_is_bit_identical_to_disabled() {
 #[test]
 fn scripted_breaker_sequence_pins_publish_trip_donor_halfopen_close() {
     let obs = Arc::new(Obs::new());
-    // Build the router over *empty* shards, then publish: with the handle
-    // already attached the publishes land in the trace too.
+    // Build the router over *empty* shards, then publish: with the router
+    // already instrumented the publishes land in the trace too.
     let registry = Arc::new(ShardedRegistry::new((0u8..4).map(ClusterId)));
     let router = Arc::new(
         ClusterRouter::with_uniform_similarity(
@@ -296,7 +298,7 @@ fn scripted_breaker_sequence_pins_publish_trip_donor_halfopen_close() {
             trip_after: 2,
             cooldown: 2,
         })
-        .with_obs(Some(Arc::clone(&obs))),
+        .with_instruments(Instruments::observed(Arc::clone(&obs))),
     );
     for c in 0u8..4 {
         registry.shard(ClusterId(c)).unwrap().publish(
@@ -305,7 +307,7 @@ fn scripted_breaker_sequence_pins_publish_trip_donor_halfopen_close() {
             metrics(),
         );
     }
-    let pool = pool_over(&router, 2, Some(Arc::clone(&obs)));
+    let pool = pool_over(&router, 2);
 
     // Two failures trip shard 0; two donor-served outcomes drain the
     // cooldown; the healthy probe closes it again.
@@ -460,14 +462,17 @@ fn quarantine_events_and_counters_are_identical_across_thread_counts() {
     };
 
     let run = |threads: usize| -> (Vec<TraceEvent>, Option<u64>, Option<u64>, usize) {
-        let obs = Obs::new();
-        let (kept, quarantine) = parse_telemetry_quarantine_obs(
+        let obs = Arc::new(Obs::new());
+        let instruments = Instruments {
+            obs: Some(Arc::clone(&obs)),
+            faults: Some(Arc::new(plan.clone())),
+        };
+        let (kept, quarantine) = parse_telemetry_quarantine(
             text.as_bytes(),
             WireFormat::Ndjson,
             threads,
             &policy,
-            Some(&plan),
-            Some(&obs),
+            &instruments,
         )
         .expect("quarantine parse");
         let snapshot = obs.metrics().snapshot();

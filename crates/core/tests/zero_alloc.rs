@@ -236,9 +236,9 @@ fn steady_state_ndjson_scan_allocates_nothing() {
     );
 }
 
-/// Route resolution with the obs seam *disabled* (`with_obs(None)`, the
-/// production default) allocates nothing in steady state: the seam is one
-/// `Option` branch, the routing counters are preallocated stripes, and the
+/// Route resolution on a router with no instruments (the production
+/// default) allocates nothing in steady state: the obs seam is one `Option`
+/// branch, the routing counters are preallocated stripes, and the
 /// served-model snapshot is Arc clones all the way down.
 #[test]
 fn disabled_obs_route_resolution_allocates_nothing() {
@@ -268,8 +268,7 @@ fn disabled_obs_route_resolution_allocates_nothing() {
     let router = ClusterRouter::with_uniform_similarity(
         registry,
         Arc::new(HeuristicCostModel::default_model()),
-    )
-    .with_obs(None);
+    );
 
     let meta = &workload.jobs[0].meta;
     // Warm-up: registers this thread's counter stripe.

@@ -264,7 +264,7 @@ impl DecisionTreeRegressor {
     }
 
     /// Rebuild a tree from exported nodes.  The compiled evaluation table is
-    /// derived from the nodes exactly as [`fit_raw`](Self::fit_raw) derives
+    /// derived from the nodes exactly as `fit_raw` derives
     /// it, so predictions are bit-identical to the exported tree's.
     ///
     /// Child indices are validated (in-range and strictly increasing past the

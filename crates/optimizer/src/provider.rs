@@ -10,12 +10,12 @@
 //!
 //! [`SharedOptimizer`] drives the provider: every job snapshots the provider once,
 //! optimizes against that snapshot, and stamps the model version into the plan's
-//! [`OptimizationStats`] — which is how version provenance flows into telemetry.
+//! [`OptimizationStats`](crate::OptimizationStats) — which is how version
+//! provenance flows into telemetry.
 
 use std::sync::Arc;
 
-use cleo_common::obs::Obs;
-use cleo_common::Result;
+use cleo_common::{Instruments, Result};
 use cleo_engine::physical::JobMeta;
 use cleo_engine::types::ClusterId;
 use cleo_engine::workload::JobSpec;
@@ -38,7 +38,8 @@ pub struct ServedModel {
     /// When the served version was published as a sub-epoch delta, the
     /// incumbent version the delta was applied over; `None` for full-epoch
     /// versions and the fallback model.  Flows into
-    /// [`OptimizationStats::model_delta_base`] and from there into telemetry.
+    /// [`OptimizationStats::model_delta_base`](crate::OptimizationStats::model_delta_base)
+    /// and from there into telemetry.
     pub delta_base: Option<u64>,
 }
 
@@ -55,7 +56,7 @@ pub trait CostModelProvider: Send + Sync {
 
     /// Monotone version stamp of the model [`CostModelProvider::current`] would
     /// return (0 = an unversioned / fallback model).  Stamped into every optimized
-    /// plan's [`OptimizationStats`].
+    /// plan's [`OptimizationStats`](crate::OptimizationStats).
     fn current_version(&self) -> u64 {
         0
     }
@@ -119,6 +120,17 @@ pub trait CostModelProvider: Send + Sync {
     /// regardless of which worker finished first.  The default does nothing.
     fn note_serving_outcomes(&self, batch_seq: u64, outcomes: &[(ClusterId, bool)]) {
         let _ = (batch_seq, outcomes);
+    }
+
+    /// The observability handle and fault plan of the stack served from this
+    /// provider.  Pools, front doors and feedback loops built over the
+    /// provider read theirs from here, so a stack is instrumented in exactly
+    /// one place.  The default is quiet.
+    fn instruments(&self) -> &Instruments {
+        &Instruments {
+            obs: None,
+            faults: None,
+        }
     }
 }
 
@@ -227,31 +239,18 @@ impl CostModelProvider for FixedCostModel {
 pub struct SharedOptimizer {
     provider: Arc<dyn CostModelProvider>,
     config: OptimizerConfig,
-    obs: Option<Arc<Obs>>,
 }
 
 impl SharedOptimizer {
     /// Create a serving optimizer over a provider.
     pub fn new(provider: Arc<dyn CostModelProvider>, config: OptimizerConfig) -> Self {
-        SharedOptimizer {
-            provider,
-            config,
-            obs: None,
-        }
+        SharedOptimizer { provider, config }
     }
 
-    /// Attach an observability handle.  The serving stack built over this
-    /// optimizer (pools, front doors) picks the handle up from here, so one
-    /// attach point instruments the whole path; `None` (the default) is the
-    /// zero-cost production path.
-    pub fn with_obs(mut self, obs: Option<Arc<Obs>>) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// The attached observability handle, if any.
-    pub fn obs(&self) -> Option<&Arc<Obs>> {
-        self.obs.as_ref()
+    /// The provider's instruments, which the serving stack built over this
+    /// optimizer (pools, front doors) picks up.
+    pub fn instruments(&self) -> &Instruments {
+        self.provider.instruments()
     }
 
     /// The configuration in use.

@@ -4,7 +4,8 @@
 //! [`ServingPool`] serving stack three times:
 //!
 //! * **fault-free** — a fresh pool with no [`FaultPlan`]: the goodput
-//!   baseline;
+//!   baseline (observed like the other passes, so the goodput ratios
+//!   compare fault against no fault and nothing else);
 //! * **chaos** — a fresh pool under [`FaultPlan::chaos`] with the horizon
 //!   covering every request: workers panic and stall mid-task, the front door
 //!   retries with a deadline, and the drain accounts for every offered
@@ -134,11 +135,12 @@ fn main() {
         );
     }
     let fallback: Arc<dyn CostModel> = Arc::new(HeuristicCostModel::default_model());
-    // The fault-free baseline serves through a quiet router; the chaos and
-    // recovery passes through a router over the same shards instrumented
-    // with the fault plan and one observability registry.  Its router hits,
-    // the chaos pool's survivability counters, and the quarantine's ingest
-    // counters all land there and are folded into the JSON result.
+    // Every pass serves through an observed router over the same shards, so
+    // the fault plan is the only difference between the fault-free baseline
+    // and the chaos and recovery passes.  The baseline observes into a
+    // registry of its own; the chaos stack's router hits, pool survivability
+    // counters and front-door latencies, plus the quarantine's ingest
+    // counters, land in `obs` and are folded into the JSON result.
     let obs = Arc::new(Obs::new());
     let shared = |instruments: Instruments| {
         let router = ClusterRouter::new(Arc::clone(&registry), Arc::clone(&fallback), &profiles)
@@ -184,7 +186,7 @@ fn main() {
     // Pass 1 — fault-free baseline on a fresh pool (warmup pass first so
     // model-snapshot caches don't bill to the baseline).
     let baseline_pool = Arc::new(ServingPool::new(
-        shared(Instruments::default()),
+        shared(Instruments::observed(Arc::new(Obs::new()))),
         SHARDS,
         WORKERS,
     ));

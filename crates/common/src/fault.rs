@@ -4,7 +4,7 @@
 //! at a given injection site is a pure function of `(seed, site, index)`, where
 //! `index` is a deterministic counter owned by the site (a pool task's
 //! submission sequence, a telemetry record's absolute index, an
-//! `(epoch, cluster)` pair).  Because the decision never consults wall clocks,
+//! `(epoch, cluster)` or `(delta round, cluster)` pair).  Because the decision never consults wall clocks,
 //! thread ids, or interleavings, the same plan injects the same faults for one
 //! worker thread or N — which is what makes chaos tests reproducible and lets
 //! determinism suites pin "quarantine set is bit-identical 1 vs N threads
@@ -40,7 +40,8 @@ pub enum FaultSite {
     /// (index: `epoch << 8 | cluster`).
     ShardRoundPanic,
     /// Corrupt one shard's sub-epoch delta so the round errors
-    /// (index: `epoch << 8 | cluster`).
+    /// (index: `round << 8 | cluster`, delta rounds counted from 1 over the
+    /// feedback loop's life).
     CorruptDelta,
     /// Inflate the measured post-publish live error of one published version
     /// (index: `version << 8 | cluster`).

@@ -285,8 +285,9 @@ impl ModelRegistry {
     /// Bind an observability handle: publishes, delta publishes, and
     /// rollbacks emit [`TraceEvent::Publish`] events labelled with `cluster`.
     /// Event sequence numbers are registry versions, so traces are
-    /// deterministic for any thread count.  The first binding wins; the
-    /// cluster router makes it when it is instrumented.
+    /// deterministic for any thread count.  The first binding wins and later
+    /// ones are ignored (a registry's events go to one trace); the cluster
+    /// router makes it when it is instrumented.
     pub(crate) fn bind_obs(&self, obs: &Arc<Obs>, cluster: u16) {
         let _ = self.obs.set((Arc::clone(obs), cluster));
     }

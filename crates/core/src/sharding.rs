@@ -491,6 +491,11 @@ impl ClusterRouter {
     /// optimizers, pools, front doors and feedback loops built over the router
     /// read the same instruments through [`CostModelProvider::instruments`].
     /// The default is quiet, the zero-cost production path.
+    ///
+    /// Registry shards keep the first handle bound to them: a second
+    /// instrumented router over the same [`ShardedRegistry`] traces its own
+    /// routes, breakers and counters, but the shards' publish, rollback and
+    /// watchdog events still go to the first router's handle.
     pub fn with_instruments(mut self, instruments: Instruments) -> Self {
         if let Some(obs) = &instruments.obs {
             let metrics = obs.metrics();
@@ -1568,6 +1573,9 @@ pub struct ShardedFeedbackLoop {
     simulator: Simulator,
     shards: Vec<ShardState>,
     epoch: u32,
+    /// Delta rounds run so far — the `CorruptDelta` fault index's round
+    /// component, so a plan can target one delta round within an epoch.
+    delta_rounds: u32,
 }
 
 impl ShardedFeedbackLoop {
@@ -1595,6 +1603,7 @@ impl ShardedFeedbackLoop {
             simulator,
             shards,
             epoch: 0,
+            delta_rounds: 0,
         }
     }
 
@@ -1699,14 +1708,15 @@ impl ShardedFeedbackLoop {
     /// counter does not advance, and the next full epoch's training is
     /// bit-independent of any deltas published here.
     pub fn run_delta_round(&mut self, jobs: &[&JobSpec]) -> Result<ShardedDeltaReport> {
-        let epoch = self.epoch;
+        self.delta_rounds += 1;
+        let (epoch, round) = (self.epoch, self.delta_rounds);
         let routing_before = self.router.routing_stats();
         let served = self.serve_and_partition(jobs, epoch)?;
 
         let config = self.config;
         let faults = self.router.instruments().faults.clone();
         let (shards, failed) = self.run_shard_rounds(served.ingest, |state, log| {
-            run_shard_delta(state, log, &config, epoch, faults.as_deref())
+            run_shard_delta(state, log, &config, epoch, round, faults.as_deref())
         });
 
         Ok(ShardedDeltaReport {
@@ -1865,14 +1875,15 @@ fn run_shard_delta(
     ingest: Option<TelemetryLog>,
     config: &ShardedFeedbackConfig,
     epoch: u32,
+    round: u32,
     faults: Option<&FaultPlan>,
 ) -> Result<ShardDeltaReport> {
     let watchdog = run_publish_watchdog(state, ingest.as_ref(), &config.watchdog, faults);
     if let Some(faults) = faults {
-        let index = ((epoch as u64) << 8) | state.cluster.0 as u64;
+        let index = ((round as u64) << 8) | state.cluster.0 as u64;
         if faults.fires(FaultSite::CorruptDelta, index) {
             return Err(CleoError::Config(format!(
-                "injected fault: corrupted delta (epoch {epoch}, cluster {})",
+                "injected fault: corrupted delta (round {round}, cluster {})",
                 state.cluster.0
             )));
         }

@@ -739,8 +739,9 @@ fn fleet_epoch_isolates_panicking_shards_and_recovers() {
 fn fleet_delta_round_isolates_a_corrupt_delta() {
     let workload = generate_cluster_workload(&ClusterConfig::small(ClusterId(0)), 1);
     let stream: Vec<&JobSpec> = workload.jobs.iter().collect();
-    // Delta rounds at epoch 1 for cluster 0 (index 256) are corrupted; the
-    // epoch itself only consults the shard-round panic site.
+    // The loop's first delta round for cluster 0 (index 1 << 8 | 0 = 256) is
+    // corrupted; the second (512) is past the horizon.  The epoch itself only
+    // consults the shard-round panic site.
     let mut fleet = fleet_over(
         std::slice::from_ref(&workload),
         ShardedFeedbackConfig {
@@ -771,9 +772,8 @@ fn fleet_delta_round_isolates_a_corrupt_delta() {
     assert_eq!(round.jobs_run, stream.len());
     assert_eq!(fleet.registry().shard_version(ClusterId(0)), 1);
 
-    // Delta rounds keep the epoch's index, so the schedule is exhausted one
-    // full epoch later: the next delta round completes normally.
-    fleet.run_epoch(&stream).unwrap();
+    // With the schedule exhausted the next delta round — same epoch, same
+    // incumbent, no retrain in between — completes normally.
     let recovered = fleet.run_delta_round(&stream).unwrap();
     assert!(recovered.failed.is_empty());
     assert_eq!(recovered.shards.len(), 1);
